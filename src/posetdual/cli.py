@@ -28,22 +28,6 @@ EXIT_INPUT_ERROR = 2
 EXIT_TOO_LARGE = 3
 
 
-def _common_flags(parser):
-    parser.add_argument(
-        "--max-members",
-        type=int,
-        default=dual_mod.DEFAULT_MAX_MEMBERS,
-        help="cap on dual-lattice size (default %(default)s)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument("--dot", metavar="PATH", help="write a DOT diagram here")
-    parser.add_argument(
-        "--brute-force",
-        action="store_true",
-        help="also run the exhaustive second-dual enumeration",
-    )
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="posetdual",
@@ -52,6 +36,7 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Each subcommand declares only the flags it reads.
     for cmd, helptext in [
         ("dual", "enumerate the dual lattice of a poset file"),
         ("irreducibles", "list irreducible members with witnesses"),
@@ -62,7 +47,21 @@ def _build_parser():
     ]:
         p = sub.add_parser(cmd, help=helptext)
         p.add_argument("file", help="poset file")
-        _common_flags(p)
+        if cmd != "hasse":
+            p.add_argument(
+                "--max-members",
+                type=int,
+                default=dual_mod.DEFAULT_MAX_MEMBERS,
+                help="cap on dual-lattice size (default %(default)s)",
+            )
+        if cmd in ("dual", "verify", "hasse"):
+            p.add_argument("--dot", metavar="PATH", help="write a DOT diagram here")
+        if cmd in ("second-dual", "verify"):
+            p.add_argument(
+                "--brute-force",
+                action="store_true",
+                help="also run the exhaustive second-dual enumeration",
+            )
         if cmd == "dual":
             p.add_argument(
                 "--label-embeddings",
@@ -77,25 +76,24 @@ def _build_parser():
     p.add_argument("--density", type=float, default=0.5)
     p.add_argument("--name", default="random")
     p.add_argument("--out", metavar="PATH", help="write here instead of stdout")
-    _common_flags(p)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
 
     return parser
 
 
-def _load(args, out):
+def _load(args):
     with open(args.file, "r", encoding="ascii") as fh:
         doc = parse_poset(fh.read())
     return doc, build_poset(doc)
 
 
-def _write_dot(args, text):
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _write_dot(path, text):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _cmd_dual(args, out):
-    doc, poset = _load(args, out)
+    doc, poset = _load(args)
     lattice = dual_mod.enumerate_dual(poset, max_members=args.max_members)
     irr = dual_mod.irreducibles(lattice)
     tree = {
@@ -109,17 +107,18 @@ def _cmd_dual(args, out):
         },
     }
     out.write(render(tree))
-    _write_dot(
-        args,
-        emit_lattice_dot(
-            lattice, doc.name, label_embeddings=args.label_embeddings
-        ),
-    )
+    if args.dot:
+        _write_dot(
+            args.dot,
+            emit_lattice_dot(
+                lattice, doc.name, label_embeddings=args.label_embeddings
+            ),
+        )
     return EXIT_OK
 
 
 def _cmd_irreducibles(args, out):
-    doc, poset = _load(args, out)
+    doc, poset = _load(args)
     lattice = dual_mod.enumerate_dual(poset, max_members=args.max_members)
     irr = dual_mod.irreducibles(lattice)
     tree = {
@@ -136,7 +135,7 @@ def _cmd_irreducibles(args, out):
 
 
 def _cmd_primes(args, out):
-    doc, poset = _load(args, out)
+    doc, poset = _load(args)
     lattice = dual_mod.enumerate_dual(poset, max_members=args.max_members)
     pairs = ideals_mod.prime_principal_pairs(lattice)
     tree = {
@@ -152,10 +151,9 @@ def _cmd_primes(args, out):
 
 
 def _cmd_second_dual(args, out):
-    doc, poset = _load(args, out)
-    iso = sd_mod.verify_isomorphism(
-        poset, use_bruteforce=args.brute_force
-    )
+    doc, poset = _load(args)
+    lattice = dual_mod.enumerate_dual(poset, max_members=args.max_members)
+    iso = sd_mod.verify_isomorphism(lattice, use_bruteforce=args.brute_force)
     tree = {
         "poset": {"name": doc.name, "size": poset.n},
         "second_dual": {
@@ -173,26 +171,27 @@ def _cmd_second_dual(args, out):
 
 
 def _cmd_verify(args, out):
-    doc, poset = _load(args, out)
+    doc, poset = _load(args)
+    lattice = dual_mod.enumerate_dual(poset, max_members=args.max_members)
     tree, ok = build_verification_report(
         doc.name,
-        poset,
+        lattice,
         use_bruteforce=args.brute_force,
-        max_members=args.max_members,
-        corrupt=getattr(args, "corrupt", False),
+        corrupt=args.corrupt,
     )
     out.write(render(tree))
     if args.dot:
-        lattice = dual_mod.enumerate_dual(poset, max_members=args.max_members)
-        _write_dot(args, emit_lattice_dot(lattice, doc.name, label_embeddings=True))
+        _write_dot(
+            args.dot, emit_lattice_dot(lattice, doc.name, label_embeddings=True)
+        )
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def _cmd_hasse(args, out):
-    doc, poset = _load(args, out)
+    doc, poset = _load(args)
     text = emit_poset_dot(poset, doc.name)
     if args.dot:
-        _write_dot(args, text)
+        _write_dot(args.dot, text)
     else:
         out.write(text)
     return EXIT_OK
@@ -238,6 +237,7 @@ def run_cli(argv=None, out=None, err=None):
         DuplicateElementError,
         CycleDetectedError,
         OSError,
+        UnicodeDecodeError,
     ) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_INPUT_ERROR

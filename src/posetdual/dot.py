@@ -1,11 +1,11 @@
 """DOT emission of Hasse diagrams for posets and dual lattices.
 
 Plain digraphs only: quoted node ids, optional label attributes, and
-lower -> upper edges from the transitive reduction.
+lower -> upper cover edges.
 """
 
-from .dual import DualLattice, lambda_of, upsilon_of
-from .poset import FinitePoset, poset_from_relations, transitive_reduction
+from .dual import DualLattice, _maximal_outside, lambda_of, upsilon_of
+from .poset import FinitePoset, transitive_reduction
 
 
 def support_label(x):
@@ -24,23 +24,13 @@ def emit_poset_dot(poset, name="P"):
     return "\n".join(lines) + "\n"
 
 
-def _member_poset(lattice):
-    # The lattice itself as a finite poset over canonical member indices,
-    # so cover edges come from the same transitive-reduction code path.
-    names = [f"m{i}" for i in range(len(lattice.members))]
-    pairs = []
-    for i, x in enumerate(lattice.members):
-        for j, y in enumerate(lattice.members):
-            if i != j and x.support & ~y.support == 0:
-                pairs.append((names[i], names[j]))
-    return poset_from_relations(names, pairs, max_elements=len(names) or 1)
-
-
 def emit_lattice_dot(lattice, name="L", label_embeddings=False):
     """DOT digraph of the lattice's Hasse diagram.
 
     With label_embeddings, members that equal an embedded base element
-    carry a trailing annotation such as 'λ:a,υ:b'.
+    carry a trailing annotation such as 'λ:a,υ:b'. The upper covers of
+    member U are U | {p} for each p maximal outside U, so the edges cost
+    O(n) per member; they are sorted by node id string.
     """
     annotations = {}
     if label_embeddings:
@@ -60,8 +50,13 @@ def emit_lattice_dot(lattice, name="L", label_embeddings=False):
         if notes:
             label = f"{label} {','.join(notes)}"
         lines.append(f'  "m{i}" [label="{label}"];')
-    member_poset = _member_poset(lattice)
-    for lower, upper in transitive_reduction(member_poset).pairs:
+    up_masks = lattice.base.up_masks
+    edges = sorted(
+        (f"m{i}", f"m{lattice.index_of_support(x.support | 1 << p)}")
+        for i, x in enumerate(lattice.members)
+        for p in _maximal_outside(up_masks, x.support)
+    )
+    for lower, upper in edges:
         lines.append(f'  "{lower}" -> "{upper}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

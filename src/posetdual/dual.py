@@ -6,6 +6,7 @@ poset. Lattice joins and meets are then bitwise or/and of supports.
 """
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .errors import BaseMismatchError, LemmaViolationError, TooLargeError
 from .poset import _bits
@@ -52,6 +53,8 @@ class DualLattice:
         self._member_index = {x.support: i for i, x in enumerate(self.members)}
         self.bottom = self.members[0]
         self.top = self.members[-1]
+        # Base down-sets: the up-masks of the opposite order.
+        self._base_down_masks = tuple(base.down_mask(e) for e in base.elements)
         self._down_intervals = None
         self._up_intervals = None
 
@@ -125,17 +128,14 @@ def _iter_upset_masks(poset):
 def enumerate_dual(poset, max_members=DEFAULT_MAX_MEMBERS):
     """Enumerate every up-set of the poset as a lattice of monotone maps.
 
-    Counts via the enumeration first and raises TooLargeError before
-    materializing anything if the member cap would be exceeded.
+    Walks the up-sets once, holding at most max_members + 1 support masks,
+    and raises TooLargeError instead of building the lattice when there are
+    more than max_members of them.
     """
-    count = 0
-    for _ in _iter_upset_masks(poset):
-        count += 1
-        if count > max_members:
-            raise TooLargeError(
-                f"dual lattice exceeds member cap {max_members}"
-            )
-    return DualLattice(poset, list(_iter_upset_masks(poset)))
+    masks = list(islice(_iter_upset_masks(poset), max(max_members + 1, 0)))
+    if len(masks) > max_members:
+        raise TooLargeError(f"dual lattice exceeds member cap {max_members}")
+    return DualLattice(poset, masks)
 
 
 def pointwise_leq(x, y):
@@ -174,24 +174,37 @@ def upsilon_of(lattice, element):
     return lattice.members[lattice.index_of_support(lattice.base.up_mask(element))]
 
 
+def _maximal_outside(up_masks, upset):
+    """Elements maximal outside an up-set U of the order given by up_masks.
+
+    The upper covers of U in the up-set lattice are U | {p} for exactly
+    these p (Birkhoff). With the opposite order's masks and the complement
+    of U they are the minimal p in U, and U - {p} are the lower covers.
+    """
+    return [p for p, up in enumerate(up_masks) if up & ~upset == 1 << p]
+
+
 def least_above(lattice, x):
-    """Inf of all members strictly above x (the top itself when x is top)."""
+    """Inf of all members strictly above x (the top itself when x is top).
+
+    That is x's upper cover when it has exactly one, else x itself. O(n).
+    """
     lattice.check_member(x)
-    inter = lattice.base.full_mask
-    for y in lattice.members:
-        if x.support & ~y.support == 0 and y.support != x.support:
-            inter &= y.support
-    return lattice.members[lattice.index_of_support(inter)]
+    covers = _maximal_outside(lattice.base.up_masks, x.support)
+    support = x.support | 1 << covers[0] if len(covers) == 1 else x.support
+    return lattice.members[lattice.index_of_support(support)]
 
 
 def greatest_below(lattice, x):
-    """Sup of all members strictly below x (the bottom when x is bottom)."""
+    """Sup of all members strictly below x (the bottom when x is bottom).
+
+    That is x's lower cover when it has exactly one, else x itself. O(n).
+    """
     lattice.check_member(x)
-    union = 0
-    for y in lattice.members:
-        if y.support & ~x.support == 0 and y.support != x.support:
-            union |= y.support
-    return lattice.members[lattice.index_of_support(union)]
+    outside = lattice.base.full_mask & ~x.support
+    covers = _maximal_outside(lattice._base_down_masks, outside)
+    support = x.support & ~(1 << covers[0]) if len(covers) == 1 else x.support
+    return lattice.members[lattice.index_of_support(support)]
 
 
 def is_meet_irreducible(lattice, x):

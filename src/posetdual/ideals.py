@@ -4,6 +4,7 @@ Subsets of the lattice are bitmasks over the canonical member order, so
 all the closure checks below are mask algebra.
 """
 
+import operator
 from dataclasses import dataclass
 
 from .errors import LemmaViolationError
@@ -37,42 +38,30 @@ class SubsetOfLattice:
         return self.member_mask >> self.lattice.member_index(x) & 1 == 1
 
 
-def is_ideal(subset):
-    """Downward closed and closed under pairwise join (empty set counts)."""
+def _is_closed(subset, intervals, combine, identity):
+    # In a finite lattice a down-closed set is closed under pairwise join
+    # iff it holds the join of all its members (a v b lies below it), and
+    # dually for up-closed sets and meets; so one pass over the subset.
     lat = subset.lattice
     mask = subset.member_mask
-    down, _ = lat._intervals()
-    members = lat.members
-    indices = list(_bits(mask))
-    for i in indices:
-        if down[i] & ~mask:
+    acc = identity
+    for i in _bits(mask):
+        if intervals[i] & ~mask:
             return False
-    for a, i in enumerate(indices):
-        si = members[i].support
-        for j in indices[a:]:
-            joined = lat.index_of_support(si | members[j].support)
-            if not mask >> joined & 1:
-                return False
-    return True
+        acc = combine(acc, lat.members[i].support)
+    return mask == 0 or mask >> lat.index_of_support(acc) & 1 == 1
+
+
+def is_ideal(subset):
+    """Downward closed and closed under pairwise join (empty set counts)."""
+    down, _ = subset.lattice._intervals()
+    return _is_closed(subset, down, operator.or_, 0)
 
 
 def is_filter(subset):
     """Upward closed and closed under pairwise meet (empty set counts)."""
-    lat = subset.lattice
-    mask = subset.member_mask
-    _, up = lat._intervals()
-    members = lat.members
-    indices = list(_bits(mask))
-    for i in indices:
-        if up[i] & ~mask:
-            return False
-    for a, i in enumerate(indices):
-        si = members[i].support
-        for j in indices[a:]:
-            met = lat.index_of_support(si & members[j].support)
-            if not mask >> met & 1:
-                return False
-    return True
+    _, up = subset.lattice._intervals()
+    return _is_closed(subset, up, operator.and_, subset.lattice.base.full_mask)
 
 
 def is_prime_ideal(subset):
@@ -84,10 +73,8 @@ def is_prime_ideal(subset):
 
 
 def is_prime_filter(subset):
-    full = subset.lattice.full_member_mask
-    if subset.member_mask == 0 or subset.member_mask == full:
-        return False
-    return is_filter(subset) and is_ideal(subset.complement())
+    """Filter whose complement is an ideal; both sides must be nonempty."""
+    return is_prime_ideal(subset.complement())
 
 
 def principal_ideal(lattice, x):
@@ -115,7 +102,10 @@ class PrimePairReport:
 
 
 def prime_principal_pairs(lattice):
-    """Scan all generator pairs for complementary principal intervals.
+    """Find every complementary principal ideal/filter pair.
+
+    Each principal ideal is matched to the principal filter on its
+    complement through one dict lookup; pairs come in member order of u.
 
     Every complementary pair must be witnessed by a unique base element;
     a missing or broken witness raises LemmaViolationError (an
@@ -127,12 +117,13 @@ def prime_principal_pairs(lattice):
     lambda_by_support = {lambda_of(lattice, p).support: p for p in base.elements}
     upsilon_by_support = {upsilon_of(lattice, p).support: p for p in base.elements}
 
+    filter_by_complement = {full & ~up_j: j for j, up_j in enumerate(up)}
     pairs = []
     seen_witnesses = set()
     for i, u in enumerate(lattice.members):
-        for j, v in enumerate(lattice.members):
-            if down[i] != full & ~up[j]:
-                continue
+        j = filter_by_complement.get(down[i])
+        if j is not None:
+            v = lattice.members[j]
             p = lambda_by_support.get(u.support)
             if p is None or upsilon_by_support.get(v.support) != p:
                 raise LemmaViolationError(

@@ -108,19 +108,17 @@ def _check_upset_closure(lattice):
 
 def build_verification_report(
     name,
-    poset,
+    lattice,
     use_bruteforce=False,
-    max_members=dual_mod.DEFAULT_MAX_MEMBERS,
     bruteforce_cap=sd_mod.DEFAULT_BRUTEFORCE_CAP,
     corrupt=False,
 ):
-    """Run every lemma check on one poset.
+    """Run every lemma check on one dual lattice and its base poset.
 
-    Returns (report tree, all passed). Size-cap errors propagate; lemma
-    failures are captured in the report with counterexample payloads.
+    Returns (report tree, all passed). Lemma failures are captured in the
+    report with counterexample payloads.
     """
-    lattice = dual_mod.enumerate_dual(poset, max_members=max_members)
-
+    poset = lattice.base
     checks = {}
     counterexamples = {}
 
@@ -153,7 +151,7 @@ def build_verification_report(
         record("prime_pairs", False, str(exc))
 
     iso = sd_mod.verify_isomorphism(
-        poset, use_bruteforce=use_bruteforce, bruteforce_cap=bruteforce_cap
+        lattice, use_bruteforce=use_bruteforce, bruteforce_cap=bruteforce_cap
     )
     record(
         "second_dual_round_trip",

@@ -14,7 +14,7 @@ from .errors import (
     TooLargeError,
 )
 from .poset import _bits
-from .dual import enumerate_dual, lambda_of
+from .dual import lambda_of
 
 DEFAULT_BRUTEFORCE_CAP = 20
 DEFAULT_DEFINITION_CAP = 16
@@ -198,22 +198,18 @@ class IsomorphismReport:
 
 
 def verify_isomorphism(
-    poset,
+    lattice,
     use_bruteforce=False,
-    max_members=None,
     bruteforce_cap=DEFAULT_BRUTEFORCE_CAP,
 ):
-    """Build the second dual over the poset and check it mirrors the poset.
+    """Check that the second dual of a dual lattice mirrors its base poset.
 
     Checks the round trip (recovering each element from its evaluation
     hom), the order embedding in both directions, and, when requested and
     small enough, that the evaluation homs are exactly the brute-force
     enumerated ones. Failures are reported, not raised.
     """
-    if max_members is None:
-        lattice = enumerate_dual(poset)
-    else:
-        lattice = enumerate_dual(poset, max_members=max_members)
+    poset = lattice.base
     failures = []
 
     forward = {p: evaluation_hom(lattice, p) for p in poset.elements}

@@ -7,7 +7,12 @@ posets are generated by filtering raw relations.
 
 from itertools import combinations, product
 
-from posetdual import find_isomorphism, poset_from_relations, random_poset
+from posetdual import (
+    find_isomorphism,
+    poset_from_relations,
+    random_poset,
+    transitive_reduction,
+)
 
 
 def upset_masks_bruteforce(poset):
@@ -52,6 +57,63 @@ def greatest_lower_bound_scan(lattice, maps):
         c for c in lbs if all(l.support & ~c.support == 0 for l in lbs)
     ]
     return greatest[0] if len(greatest) == 1 else None
+
+
+def member_poset(lattice):
+    """The lattice itself as a finite poset over names m0, m1, ... in
+    canonical member order, built from all pairwise comparisons."""
+    names = [f"m{i}" for i in range(len(lattice.members))]
+    pairs = []
+    for i, x in enumerate(lattice.members):
+        for j, y in enumerate(lattice.members):
+            if i != j and x.support & ~y.support == 0:
+                pairs.append((names[i], names[j]))
+    return poset_from_relations(names, pairs, max_elements=len(names) or 1)
+
+
+def lattice_cover_edges_scan(lattice):
+    """Hasse edges of the lattice as DOT lines, via the transitive
+    reduction of the whole member order."""
+    return [
+        f'  "{lower}" -> "{upper}";'
+        for lower, upper in transitive_reduction(member_poset(lattice)).pairs
+    ]
+
+
+def _closed_pairwise(lattice, member_mask, below, bound_scan):
+    # The definition itself: closed in the given direction, and every pair
+    # of members (a member with itself included) has its bound inside.
+    members = lattice.members
+    inside = [x for i, x in enumerate(members) if member_mask >> i & 1]
+    for x in inside:
+        for y in members:
+            if below(y, x) and y not in inside:
+                return False
+    for x in inside:
+        for y in inside:
+            if bound_scan(lattice, [x, y]) not in inside:
+                return False
+    return True
+
+
+def is_ideal_pairwise(lattice, member_mask):
+    """Down-closed and closed under pairwise least upper bounds."""
+    return _closed_pairwise(
+        lattice,
+        member_mask,
+        lambda y, x: y.support & ~x.support == 0,
+        least_upper_bound_scan,
+    )
+
+
+def is_filter_pairwise(lattice, member_mask):
+    """Up-closed and closed under pairwise greatest lower bounds."""
+    return _closed_pairwise(
+        lattice,
+        member_mask,
+        lambda y, x: x.support & ~y.support == 0,
+        greatest_lower_bound_scan,
+    )
 
 
 def all_labeled_posets(n):

@@ -277,10 +277,10 @@ def test_criterion_8_degenerate_cases():
     ok = len(dual_empty) == 1
     ok = ok and dual_empty.bottom is dual_empty.top
     ok = ok and enumerate_second_dual_bruteforce(dual_empty) == []
-    ok = ok and verify_isomorphism(empty, use_bruteforce=True).ok
+    ok = ok and verify_isomorphism(enumerate_dual(empty), use_bruteforce=True).ok
 
     singleton = poset_from_relations(["a"], [])
-    rep = verify_isomorphism(singleton, use_bruteforce=True)
+    rep = verify_isomorphism(enumerate_dual(singleton), use_bruteforce=True)
     ok = ok and rep.ok and rep.backward[rep.forward["a"]] == "a"
     _report(8, "degenerate posets (empty and singleton)", ok)
 

@@ -60,12 +60,37 @@ def test_missing_file_exit_code():
     assert code == 2
 
 
+def test_non_ascii_file_exit_code(tmp_path):
+    f = tmp_path / "accent.poset"
+    f.write_text("poset caf\u00e9\nelements: a\nrelations:\n", encoding="utf-8")
+    code, out, err = run(["verify", str(f)])
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
 def test_size_cap_exit_code(tmp_path):
     f = tmp_path / "anti.poset"
     names = " ".join(f"e{i}" for i in range(10))
     f.write_text(f"poset big\nelements: {names}\nrelations:\n")
     code, _, err = run(["dual", str(f), "--max-members", "100"])
     assert code == 3
+
+
+def test_second_dual_honours_size_cap(tmp_path):
+    f = tmp_path / "anti.poset"
+    names = " ".join(f"e{i}" for i in range(5))
+    f.write_text(f"poset anti\nelements: {names}\nrelations:\n")
+    code, out, err = run(["second-dual", str(f), "--max-members", "10"])
+    assert code == 3
+    assert out == ""
+    assert "error:" in err
+
+
+def test_subcommands_reject_flags_they_do_not_read():
+    with pytest.raises(SystemExit) as exc:
+        run(["hasse", str(SAMPLES / "chain2.poset"), "--brute-force"])
+    assert exc.value.code == 2
 
 
 def test_random_subcommand_deterministic(tmp_path):

@@ -75,6 +75,9 @@ def test_member_cap():
     with pytest.raises(TooLargeError):
         enumerate_dual(p, max_members=63)
     assert len(enumerate_dual(p, max_members=64)) == 64
+    for cap in (0, -1, -5):
+        with pytest.raises(TooLargeError):
+            enumerate_dual(p, max_members=cap)
 
 
 def test_evaluate():

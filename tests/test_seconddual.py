@@ -124,7 +124,8 @@ def test_kernel_preimages_are_principal_and_complementary():
 
 def test_verify_two_chain():
     report = verify_isomorphism(
-        poset_from_relations(["a", "b"], [("a", "b")]), use_bruteforce=True
+        enumerate_dual(poset_from_relations(["a", "b"], [("a", "b")])),
+        use_bruteforce=True,
     )
     assert report.round_trip_ok
     assert report.order_preserved_ok
@@ -134,7 +135,7 @@ def test_verify_two_chain():
 
 def test_verify_antichain_three():
     p = poset_from_relations(["a", "b", "c"], [])
-    report = verify_isomorphism(p, use_bruteforce=True)
+    report = verify_isomorphism(enumerate_dual(p), use_bruteforce=True)
     assert report.ok and report.brute_force_matched is True
     homs = list(report.forward.values())
     assert len(homs) == 3
@@ -144,7 +145,9 @@ def test_verify_antichain_three():
 
 
 def test_verify_empty_poset():
-    report = verify_isomorphism(poset_from_relations([], []), use_bruteforce=True)
+    report = verify_isomorphism(
+        enumerate_dual(poset_from_relations([], [])), use_bruteforce=True
+    )
     assert report.ok
     assert report.forward == {}
     assert report.brute_force_matched is True
@@ -152,14 +155,16 @@ def test_verify_empty_poset():
 
 def test_bruteforce_skipped_over_cap():
     p = poset_from_relations([f"e{i}" for i in range(5)], [])
-    report = verify_isomorphism(p, use_bruteforce=True, bruteforce_cap=20)
+    report = verify_isomorphism(
+        enumerate_dual(p), use_bruteforce=True, bruteforce_cap=20
+    )
     assert report.brute_force_matched is None
     assert report.ok
 
 
 def test_round_trip_on_catalog():
     for p in poset_catalog(4):
-        report = verify_isomorphism(p, use_bruteforce=True)
+        report = verify_isomorphism(enumerate_dual(p), use_bruteforce=True)
         assert report.ok, p.elements
 
 
