@@ -14,6 +14,7 @@ from .dot import emit_lattice_dot, emit_poset_dot, support_label
 from .errors import (
     CycleDetectedError,
     DuplicateElementError,
+    LemmaViolationError,
     ParseError,
     TooLargeError,
     UnknownElementError,
@@ -26,6 +27,20 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_TOO_LARGE = 3
+
+
+def element_count(text):
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"size must be >= 0, got {n}")
+    return n
+
+
+def probability(text):
+    p = float(text)
+    if not 0.0 <= p <= 1.0:
+        raise argparse.ArgumentTypeError(f"density must be in [0, 1], got {text}")
+    return p
 
 
 def _build_parser():
@@ -72,8 +87,8 @@ def _build_parser():
             p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
 
     p = sub.add_parser("random", help="emit a random poset file")
-    p.add_argument("n", type=int, help="number of elements")
-    p.add_argument("--density", type=float, default=0.5)
+    p.add_argument("n", type=element_count, help="number of elements")
+    p.add_argument("--density", type=probability, default=0.5)
     p.add_argument("--name", default="random")
     p.add_argument("--out", metavar="PATH", help="write here instead of stdout")
     p.add_argument("--seed", type=int, default=0, help="random seed")
@@ -231,6 +246,9 @@ def run_cli(argv=None, out=None, err=None):
     except TooLargeError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_TOO_LARGE
+    except LemmaViolationError as exc:
+        print(f"error: {exc}", file=err)
+        return EXIT_CHECK_FAILED
     except (
         ParseError,
         UnknownElementError,

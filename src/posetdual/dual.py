@@ -12,6 +12,7 @@ from .errors import BaseMismatchError, LemmaViolationError, TooLargeError
 from .poset import _bits
 
 DEFAULT_MAX_MEMBERS = 1 << 22
+_TRANSPOSE_BLOCK = 4096  # members per block of the column transpose
 
 
 @dataclass(frozen=True)
@@ -41,29 +42,78 @@ class DualLattice:
     """All monotone maps base -> {0, 1} under the pointwise order.
 
     Members are kept in a canonical order: by support popcount, then by
-    numeric support value. Immutable after construction.
+    numeric support value. `supports` holds every member's support as an
+    int in that order, and is what the lattice operations read. The
+    MonotoneMap objects are made on demand, when first reached through
+    `members`, `member(i)`, `bottom`/`top` or a function such as
+    lambda_of; each member has exactly one object however it is reached.
+    `columns[p]` is the member-index mask of the members whose support
+    holds base element p, i.e. the preimage of 1 under evaluation at p;
+    evaluation homs are read from it. Immutable after construction.
     """
 
     def __init__(self, base, support_masks):
         self.base = base
-        self.members = tuple(
-            MonotoneMap(base, m)
-            for m in sorted(support_masks, key=lambda m: (bin(m).count("1"), m))
-        )
-        self._member_index = {x.support: i for i, x in enumerate(self.members)}
-        self.bottom = self.members[0]
-        self.top = self.members[-1]
-        # Base down-sets: the up-masks of the opposite order.
-        self._base_down_masks = tuple(base.down_mask(e) for e in base.elements)
+        supports = sorted(support_masks)
+        supports.sort(key=int.bit_count)
+        self.supports = tuple(supports)
+        self._member_index = dict(zip(self.supports, range(len(supports))))
+        # Member objects made so far; replaced by `members` once all are.
+        self._made = [None] * len(supports)
+        self._members = None
+        self._columns = None
         self._down_intervals = None
         self._up_intervals = None
 
     def __len__(self):
-        return len(self.members)
+        return len(self.supports)
+
+    def member(self, i):
+        """The member at canonical index i, made on first request."""
+        x = self._made[i]
+        if x is None:
+            x = self._made[i] = MonotoneMap(self.base, self.supports[i])
+        return x
+
+    @property
+    def members(self):
+        """Every member in canonical order."""
+        if self._members is None:
+            self._members = tuple(map(self.member, range(len(self.supports))))
+            self._made = self._members
+        return self._members
+
+    @property
+    def bottom(self):
+        return self.member(0)
+
+    @property
+    def top(self):
+        return self.member(len(self.supports) - 1)
 
     @property
     def full_member_mask(self):
-        return (1 << len(self.members)) - 1
+        return (1 << len(self.supports)) - 1
+
+    @property
+    def columns(self):
+        """columns[p]: member-index mask of the supports holding element p."""
+        if self._columns is None:
+            # A transpose, one block of members at a time so that the text
+            # stays small: every support of a block as an n-digit binary
+            # row, last member first, so column p of the block read top to
+            # bottom is a mask whose bit i is the value at p of the block's
+            # member i.
+            n = self.base.n
+            spec = f"0{n}b"
+            columns = [0] * n
+            for start in range(0, len(self.supports), _TRANSPOSE_BLOCK):
+                block = self.supports[start : start + _TRANSPOSE_BLOCK]
+                text = "".join([format(s, spec) for s in reversed(block)])
+                for p in range(n):
+                    columns[p] |= int(text[n - 1 - p :: n], 2) << start
+            self._columns = tuple(columns)
+        return self._columns
 
     def member_index(self, x):
         self.check_member(x)
@@ -80,7 +130,7 @@ class DualLattice:
         # down_intervals[i]: member-index bitmask of everything <= member i;
         # up_intervals[i]: everything >= member i. O(m^2), cached.
         if self._down_intervals is None:
-            supports = [x.support for x in self.members]
+            supports = self.supports
             down = []
             up = [0] * len(supports)
             for i, si in enumerate(supports):
@@ -104,25 +154,27 @@ class DualLattice:
 
 
 def _iter_upset_masks(poset):
-    # Elements in an order where everything strictly above comes first
-    # (ascending up-set size is such an order); a partial selection can
-    # then take an element iff its strict up-set is already selected, so
-    # only genuine up-sets are ever produced, each exactly once.
-    order = sorted(
-        range(poset.n), key=lambda i: (bin(poset.up_masks[i]).count("1"), i)
-    )
-    up = poset.up_masks
-
-    def extend(k, current):
-        if k == len(order):
-            yield current
-            return
-        e = order[k]
-        yield from extend(k + 1, current)
-        if up[e] & ~current == 1 << e:
-            yield from extend(k + 1, current | (1 << e))
-
-    yield from extend(0, 0)
+    # Split on the lowest undecided element p: either p is in the up-set,
+    # and then so is everything above it, or it is out, and then so is
+    # everything below it. The included part stays an up-set and the
+    # excluded part a down-set, so neither branch can contradict the
+    # other's decisions: every node of the search has a leaf below it,
+    # and m up-sets cost 2m - 1 nodes. The include branch is followed
+    # at once and the exclude branch kept on an explicit stack.
+    up, down, full = poset.up_masks, poset.down_masks, poset.full_mask
+    stack = [0, 0]
+    pop, push = stack.pop, stack.append
+    while stack:
+        excluded = pop()
+        included = pop()
+        decided = included | excluded
+        while decided != full:
+            p = (~decided & (decided + 1)).bit_length() - 1
+            push(included)
+            push(excluded | down[p])
+            included |= up[p]
+            decided = included | excluded
+        yield included
 
 
 def enumerate_dual(poset, max_members=DEFAULT_MAX_MEMBERS):
@@ -151,7 +203,7 @@ def sup_of(lattice, maps):
     for x in maps:
         lattice.check_member(x)
         union |= x.support
-    return lattice.members[lattice.index_of_support(union)]
+    return lattice.member(lattice.index_of_support(union))
 
 
 def inf_of(lattice, maps):
@@ -160,18 +212,18 @@ def inf_of(lattice, maps):
     for x in maps:
         lattice.check_member(x)
         inter &= x.support
-    return lattice.members[lattice.index_of_support(inter)]
+    return lattice.member(lattice.index_of_support(inter))
 
 
 def lambda_of(lattice, element):
     """The member vanishing exactly on the down-set of the element."""
     support = lattice.base.full_mask & ~lattice.base.down_mask(element)
-    return lattice.members[lattice.index_of_support(support)]
+    return lattice.member(lattice.index_of_support(support))
 
 
 def upsilon_of(lattice, element):
     """The member supported exactly on the up-set of the element."""
-    return lattice.members[lattice.index_of_support(lattice.base.up_mask(element))]
+    return lattice.member(lattice.index_of_support(lattice.base.up_mask(element)))
 
 
 def _maximal_outside(up_masks, upset):
@@ -192,7 +244,7 @@ def least_above(lattice, x):
     lattice.check_member(x)
     covers = _maximal_outside(lattice.base.up_masks, x.support)
     support = x.support | 1 << covers[0] if len(covers) == 1 else x.support
-    return lattice.members[lattice.index_of_support(support)]
+    return lattice.member(lattice.index_of_support(support))
 
 
 def greatest_below(lattice, x):
@@ -202,9 +254,9 @@ def greatest_below(lattice, x):
     """
     lattice.check_member(x)
     outside = lattice.base.full_mask & ~x.support
-    covers = _maximal_outside(lattice._base_down_masks, outside)
+    covers = _maximal_outside(lattice.base.down_masks, outside)
     support = x.support & ~(1 << covers[0]) if len(covers) == 1 else x.support
-    return lattice.members[lattice.index_of_support(support)]
+    return lattice.member(lattice.index_of_support(support))
 
 
 def is_meet_irreducible(lattice, x):
@@ -251,7 +303,7 @@ def irreducibles(lattice):
             )
         lambda_witness[x] = lambda_by_support[x.support]
     for support, p in lambda_by_support.items():
-        x = lattice.members[lattice.index_of_support(support)]
+        x = lattice.member(lattice.index_of_support(support))
         if not is_meet_irreducible(lattice, x):
             raise LemmaViolationError(
                 f"embedded element {p!r} gives a reducible member",
@@ -267,7 +319,7 @@ def irreducibles(lattice):
             )
         upsilon_witness[x] = upsilon_by_support[x.support]
     for support, p in upsilon_by_support.items():
-        x = lattice.members[lattice.index_of_support(support)]
+        x = lattice.member(lattice.index_of_support(support))
         if not is_join_irreducible(lattice, x):
             raise LemmaViolationError(
                 f"embedded element {p!r} gives a reducible member",

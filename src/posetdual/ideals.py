@@ -27,7 +27,7 @@ class SubsetOfLattice:
         return cls(lattice, mask)
 
     def maps(self):
-        return tuple(self.lattice.members[i] for i in _bits(self.member_mask))
+        return tuple(map(self.lattice.member, _bits(self.member_mask)))
 
     def complement(self):
         return SubsetOfLattice(
@@ -48,7 +48,7 @@ def _is_closed(subset, intervals, combine, identity):
     for i in _bits(mask):
         if intervals[i] & ~mask:
             return False
-        acc = combine(acc, lat.members[i].support)
+        acc = combine(acc, lat.supports[i])
     return mask == 0 or mask >> lat.index_of_support(acc) & 1 == 1
 
 
@@ -120,10 +120,10 @@ def prime_principal_pairs(lattice):
     filter_by_complement = {full & ~up_j: j for j, up_j in enumerate(up)}
     pairs = []
     seen_witnesses = set()
-    for i, u in enumerate(lattice.members):
-        j = filter_by_complement.get(down[i])
+    for i, down_i in enumerate(down):
+        j = filter_by_complement.get(down_i)
         if j is not None:
-            v = lattice.members[j]
+            u, v = lattice.member(i), lattice.member(j)
             p = lambda_by_support.get(u.support)
             if p is None or upsilon_by_support.get(v.support) != p:
                 raise LemmaViolationError(

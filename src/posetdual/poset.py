@@ -23,18 +23,25 @@ class FinitePoset:
     """Immutable finite partially ordered set.
 
     up_masks[i] holds the bitmask of indices j with element i <= element j
-    (always including i itself). Instances compare by identity; all
-    operations on them are pure.
+    (always including i itself), and down_masks[j], computed once from
+    them, the bitmask of indices i with element i <= element j. Instances
+    compare by identity; all operations on them are pure.
     """
 
     elements: tuple
     up_masks: tuple
     _index: dict = field(repr=False, compare=False, default=None)
+    down_masks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
             self, "_index", {e: i for i, e in enumerate(self.elements)}
         )
+        down = [0] * len(self.up_masks)
+        for i, up in enumerate(self.up_masks):
+            for j in _bits(up):
+                down[j] |= 1 << i
+        object.__setattr__(self, "down_masks", tuple(down))
 
     @property
     def n(self):
@@ -59,12 +66,7 @@ class FinitePoset:
 
     def down_mask(self, element):
         """Bitmask of everything <= element."""
-        j = self.index(element)
-        mask = 0
-        for i in range(self.n):
-            if self.up_masks[i] >> j & 1:
-                mask |= 1 << i
-        return mask
+        return self.down_masks[self.index(element)]
 
     def strict_down_mask(self, element):
         return self.down_mask(element) & ~(1 << self.index(element))
@@ -173,7 +175,7 @@ def is_monotone(poset, f):
 def _signature(poset, i):
     return (
         bin(poset.up_masks[i]).count("1"),
-        bin(poset.down_mask(poset.elements[i])).count("1"),
+        bin(poset.down_masks[i]).count("1"),
     )
 
 

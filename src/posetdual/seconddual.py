@@ -43,41 +43,45 @@ def hom_leq(g, h):
     return h.kernel_top.support & ~g.kernel_top.support == 0
 
 
-def _ones_mask_ok(lattice, ones_mask):
+def _ones_mask_checker(lattice):
     # Pairwise form of the hom conditions on the map whose preimage of 1
     # is the given member-index mask: bounds, zero side downward closed
     # and join closed, one side meet closed (upward closure follows).
-    m = len(lattice.members)
-    if ones_mask & 1:
-        return False  # bottom must map to 0
-    if not ones_mask >> (m - 1) & 1:
-        return False  # top must map to 1
+    # The lattice's lookups are read here once, not once per candidate.
+    top_bit = 1 << (len(lattice) - 1)
     down, _ = lattice._intervals()
-    zeros_mask = lattice.full_member_mask & ~ones_mask
-    members = lattice.members
+    full = lattice.full_member_mask
+    supports = lattice.supports
     index_of = lattice._member_index
 
-    zeros = []
-    mm = zeros_mask
-    while mm:
-        low = mm & -mm
-        i = low.bit_length() - 1
-        if down[i] & ones_mask:
-            return False
-        zeros.append(i)
-        mm ^= low
-    for a, i in enumerate(zeros):
-        si = members[i].support
-        for j in zeros[a + 1:]:
-            if ones_mask >> index_of[si | members[j].support] & 1:
+    def ok(ones_mask):
+        if ones_mask & 1:
+            return False  # bottom must map to 0
+        if not ones_mask & top_bit:
+            return False  # top must map to 1
+        zeros = []
+        mm = full & ~ones_mask
+        while mm:
+            low = mm & -mm
+            i = low.bit_length() - 1
+            if down[i] & ones_mask:
                 return False
-    ones = list(_bits(ones_mask))
-    for a, i in enumerate(ones):
-        si = members[i].support
-        for j in ones[a + 1:]:
-            if not ones_mask >> index_of[si & members[j].support] & 1:
-                return False
-    return True
+            zeros.append(i)
+            mm ^= low
+        for a, i in enumerate(zeros):
+            si = supports[i]
+            for j in zeros[a + 1:]:
+                if ones_mask >> index_of[si | supports[j]] & 1:
+                    return False
+        ones = list(_bits(ones_mask))
+        for a, i in enumerate(ones):
+            si = supports[i]
+            for j in ones[a + 1:]:
+                if not ones_mask >> index_of[si & supports[j]] & 1:
+                    return False
+        return True
+
+    return ok
 
 
 def is_bounded_complete_hom(lattice, values):
@@ -91,7 +95,7 @@ def is_bounded_complete_hom(lattice, values):
     for i, v in enumerate(values):
         if v:
             ones_mask |= 1 << i
-    return _ones_mask_ok(lattice, ones_mask)
+    return _ones_mask_checker(lattice)(ones_mask)
 
 
 def satisfies_hom_definition(lattice, values, max_members=DEFAULT_DEFINITION_CAP):
@@ -100,12 +104,12 @@ def satisfies_hom_definition(lattice, values, max_members=DEFAULT_DEFINITION_CAP
     Exponential in the member count; this is the oracle the faster
     pairwise check is validated against.
     """
-    m = len(lattice.members)
+    m = len(lattice)
     if m > max_members:
         raise TooLargeError(
             f"definitional hom check over {m} members exceeds cap {max_members}"
         )
-    members = lattice.members
+    supports = lattice.supports
     index_of = lattice._member_index
     if values[0] != 0 or values[m - 1] != 1:
         return False
@@ -115,8 +119,8 @@ def satisfies_hom_definition(lattice, values, max_members=DEFAULT_DEFINITION_CAP
         vmax = 0
         vmin = 1
         for i in _bits(subset):
-            union |= members[i].support
-            inter &= members[i].support
+            union |= supports[i]
+            inter &= supports[i]
             vmax = max(vmax, values[i])
             vmin = min(vmin, values[i])
         if values[index_of[union]] != vmax:
@@ -129,8 +133,8 @@ def satisfies_hom_definition(lattice, values, max_members=DEFAULT_DEFINITION_CAP
 def _hom_from_ones_mask(lattice, ones_mask):
     union = 0
     for i in _bits(lattice.full_member_mask & ~ones_mask):
-        union |= lattice.members[i].support
-    kernel_top = lattice.members[lattice.index_of_support(union)]
+        union |= lattice.supports[i]
+    kernel_top = lattice.member(lattice.index_of_support(union))
     return BoundedHom(lattice, kernel_top)
 
 
@@ -140,28 +144,36 @@ def enumerate_second_dual_bruteforce(lattice, cap=DEFAULT_BRUTEFORCE_CAP):
     Canonically ordered by kernel top. Independent of the evaluation-hom
     construction; this is the oracle side of the isomorphism check.
     """
-    m = len(lattice.members)
+    m = len(lattice)
     if m > cap:
         raise TooLargeError(
             f"brute-force hom enumeration over {m} members exceeds cap {cap}"
         )
     homs = []
+    ok = _ones_mask_checker(lattice)
     # Bottom must map to 0, so only even ones-masks can qualify.
     for ones_mask in range(0, 1 << m, 2):
-        if _ones_mask_ok(lattice, ones_mask):
+        if ok(ones_mask):
             homs.append(_hom_from_ones_mask(lattice, ones_mask))
     homs.sort(key=lambda h: lattice.member_index(h.kernel_top))
     return homs
 
 
 def evaluation_hom(lattice, element):
-    """The hom sending each member to its value at the given base element."""
-    bit = 1 << lattice.base.index(element)
+    """The hom sending each member to its value at the given base element.
+
+    Its preimage of 1 is the element's column; its kernel top, the union
+    of the supports on the zero side, holds exactly the base elements
+    whose columns meet that zero side. O(n) big-int operations on the
+    lattice's cached columns.
+    """
+    columns = lattice.columns
+    zeros = lattice.full_member_mask & ~columns[lattice.base.index(element)]
     union = 0
-    for x in lattice.members:
-        if not x.support & bit:
-            union |= x.support
-    kernel_top = lattice.members[lattice.index_of_support(union)]
+    for q, column in enumerate(columns):
+        if column & zeros:
+            union |= 1 << q
+    kernel_top = lattice.member(lattice.index_of_support(union))
     return BoundedHom(lattice, kernel_top)
 
 

@@ -30,6 +30,19 @@ def upset_masks_bruteforce(poset):
     return out
 
 
+def down_mask_scan(poset, j):
+    """Bitmask of the elements below element j, by testing every i."""
+    return sum(1 << i for i in range(poset.n) if poset.up_masks[i] >> j & 1)
+
+
+def evaluation_columns_scan(lattice):
+    """columns[p]: bit i set iff member i evaluates to 1 at element p."""
+    return tuple(
+        sum(x.evaluate(e) << i for i, x in enumerate(lattice.members))
+        for e in lattice.base.elements
+    )
+
+
 def least_upper_bound_scan(lattice, maps):
     """Order-theoretic LUB: collect all upper bounds, pick the least.
 

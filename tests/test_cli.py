@@ -1,11 +1,14 @@
 import io
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
-from posetdual import run_cli
+import posetdual
+from posetdual import LemmaViolationError, run_cli
+from posetdual import dual as dual_mod
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_posets"
 
@@ -108,6 +111,30 @@ def test_random_subcommand_deterministic(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv", [["random", "-3"], ["random", "3", "--density", "7"]]
+)
+def test_random_rejects_out_of_range_arguments(argv, capsys):
+    out = io.StringIO()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv, out=out, err=io.StringIO())
+    assert exc.value.code == 2
+    assert out.getvalue() == ""
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["dual", "irreducibles"])
+def test_lemma_violation_exits_one(command, monkeypatch):
+    def broken(lattice):
+        raise LemmaViolationError("meet-irreducible member has no witness")
+
+    monkeypatch.setattr(dual_mod, "irreducibles", broken)
+    code, out, err = run([command, str(SAMPLES / "vee.poset")])
+    assert code == 1
+    assert out == ""
+    assert err == "error: meet-irreducible member has no witness\n"
+
+
 def test_hasse_to_stdout():
     code, out, _ = run(["hasse", str(SAMPLES / "chain3.poset")])
     assert code == 0
@@ -141,3 +168,20 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert "result: pass" in result.stdout
+
+
+def test_module_entry_point():
+    result = subprocess.run(
+        [sys.executable, "-m", "posetdual", "verify",
+         str(SAMPLES / "singleton.poset"), "--brute-force"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0
+    assert "result: pass" in result.stdout
+    assert result.stderr == ""
+
+
+def test_package_exports_no_modules():
+    for name in posetdual.__all__:
+        assert not isinstance(getattr(posetdual, name), types.ModuleType), name

@@ -17,14 +17,18 @@ from posetdual import (
     least_above,
     pointwise_leq,
     poset_from_relations,
+    random_poset,
     sup_of,
     support_label,
     upsilon_of,
 )
+from posetdual.dual import _iter_upset_masks
 
 from conftest import (
+    evaluation_columns_scan,
     greatest_lower_bound_scan,
     least_upper_bound_scan,
+    poset_catalog,
     random_suite,
     upset_masks_bruteforce,
 )
@@ -60,8 +64,6 @@ def test_enumerate_vee():
 
 
 def test_members_match_subset_filter():
-    from posetdual import random_poset
-
     posets = random_suite(count=40)
     posets += [random_poset(n, n, 0.3) for n in (10, 13, 16)]
     for p in posets:
@@ -78,6 +80,57 @@ def test_member_cap():
     for cap in (0, -1, -5):
         with pytest.raises(TooLargeError):
             enumerate_dual(p, max_members=cap)
+    for q in random_suite(count=30) + [random_poset(10, 3, 0.2)]:
+        m = len(upset_masks_bruteforce(q))
+        with pytest.raises(TooLargeError):
+            enumerate_dual(q, max_members=m - 1)
+        assert len(enumerate_dual(q, max_members=m)) == m
+
+
+def test_walk_yields_each_upset_once():
+    posets = poset_catalog(4) + [
+        random_poset(n, seed, density)
+        for n in range(11)
+        for seed, density in ((n, 0.1), (n + 11, 0.3), (n + 22, 0.6))
+    ]
+    for p in posets:
+        masks = list(_iter_upset_masks(p))
+        assert len(masks) == len(set(masks))
+        assert sorted(masks) == upset_masks_bruteforce(p)
+
+
+def test_columns_are_member_values():
+    # The last two lattices (7920 and 8192 members) take more than one
+    # block of the column transpose.
+    antichain13 = poset_from_relations([f"e{i}" for i in range(13)], [])
+    for p in random_suite(count=40) + [random_poset(16, 14, 0.1), antichain13]:
+        lattice = enumerate_dual(p)
+        assert lattice.columns == evaluation_columns_scan(lattice)
+
+
+def test_one_object_per_member_however_reached():
+    def reach(lattice):
+        lams = [lambda_of(lattice, e) for e in lattice.base.elements]
+        return (
+            lams
+            + [upsilon_of(lattice, e) for e in lattice.base.elements]
+            + [least_above(lattice, x) for x in lams]
+            + [lattice.bottom, lattice.top]
+            + [sup_of(lattice, lams), inf_of(lattice, lams)]
+        )
+
+    for p in random_suite(count=20):
+        listed_first = enumerate_dual(p)
+        members = listed_first.members
+        for x in reach(listed_first):
+            assert x is members[listed_first.index_of_support(x.support)]
+
+        listed_last = enumerate_dual(p)
+        reached = reach(listed_last)
+        members = listed_last.members
+        for x, again in zip(reached, reach(listed_last)):
+            assert x is again
+            assert x is members[listed_last.index_of_support(x.support)]
 
 
 def test_evaluate():

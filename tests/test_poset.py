@@ -13,7 +13,7 @@ from posetdual import (
     transitive_reduction,
 )
 
-from conftest import random_suite
+from conftest import down_mask_scan, random_suite
 
 
 def chain(*names):
@@ -108,6 +108,11 @@ def test_poset_axioms_on_random_suite():
                 for k in range(n):
                     if p.leq_index(i, j) and p.leq_index(j, k):
                         assert p.leq_index(i, k)
+
+
+def test_down_masks_match_scan():
+    for p in random_suite(count=40) + [chain("a", "b", "c")]:
+        assert p.down_masks == tuple(down_mask_scan(p, j) for j in range(p.n))
 
 
 def test_is_monotone():
