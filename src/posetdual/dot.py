@@ -4,7 +4,7 @@ Plain digraphs only: quoted node ids, optional label attributes, and
 lower -> upper cover edges.
 """
 
-from .dual import DualLattice, _maximal_outside, lambda_of, upsilon_of
+from .dual import DualLattice, _maximal_outside, _witness_tables
 from .poset import FinitePoset, transitive_reduction
 
 
@@ -34,14 +34,11 @@ def emit_lattice_dot(lattice, name="L", label_embeddings=False):
     """
     annotations = {}
     if label_embeddings:
-        for p in lattice.base.elements:
-            annotations.setdefault(lambda_of(lattice, p).support, []).append(
-                f"λ:{p}"
-            )
-        for p in lattice.base.elements:
-            annotations.setdefault(upsilon_of(lattice, p).support, []).append(
-                f"υ:{p}"
-            )
+        lambdas, upsilons = _witness_tables(lattice.base)
+        for support, p in lambdas.items():
+            annotations.setdefault(support, []).append(f"λ:{p}")
+        for support, p in upsilons.items():
+            annotations.setdefault(support, []).append(f"υ:{p}")
 
     lines = [f"digraph {name} {{"]
     for i, x in enumerate(lattice.members):

@@ -49,7 +49,9 @@ class DualLattice:
     lambda_of; each member has exactly one object however it is reached.
     `columns[p]` is the member-index mask of the members whose support
     holds base element p, i.e. the preimage of 1 under evaluation at p;
-    evaluation homs are read from it. Immutable after construction.
+    evaluation homs and the intervals below and above member i,
+    `down_interval(i)` and `up_interval(i)`, are read from it in O(n)
+    big-int operations. Immutable after construction.
     """
 
     def __init__(self, base, support_masks):
@@ -62,8 +64,6 @@ class DualLattice:
         self._made = [None] * len(supports)
         self._members = None
         self._columns = None
-        self._down_intervals = None
-        self._up_intervals = None
 
     def __len__(self):
         return len(self.supports)
@@ -126,31 +126,21 @@ class DualLattice:
         if x.base is not self.base or x.support not in self._member_index:
             raise BaseMismatchError("map does not belong to this lattice")
 
-    def _intervals(self):
-        # down_intervals[i]: member-index bitmask of everything <= member i;
-        # up_intervals[i]: everything >= member i. O(m^2), cached.
-        if self._down_intervals is None:
-            supports = self.supports
-            down = []
-            up = [0] * len(supports)
-            for i, si in enumerate(supports):
-                d = 0
-                for j, sj in enumerate(supports):
-                    if sj & ~si == 0:
-                        d |= 1 << j
-                        up[j] |= 1 << i
-                down.append(d)
-            self._down_intervals = down
-            self._up_intervals = up
-        return self._down_intervals, self._up_intervals
+    def down_interval(self, i):
+        """Member-index mask of the members below member i (inclusive):
+        those holding no element outside its support."""
+        outside = 0
+        for q in _bits(self.base.full_mask & ~self.supports[i]):
+            outside |= self.columns[q]
+        return self.full_member_mask & ~outside
 
-    @property
-    def down_intervals(self):
-        return self._intervals()[0]
-
-    @property
-    def up_intervals(self):
-        return self._intervals()[1]
+    def up_interval(self, i):
+        """Member-index mask of the members above member i (inclusive):
+        those holding every element of its support."""
+        inside = self.full_member_mask
+        for q in _bits(self.supports[i]):
+            inside &= self.columns[q]
+        return inside
 
 
 def _iter_upset_masks(poset):
@@ -281,49 +271,58 @@ class IrreducibleReport:
     upsilon_witness: dict = field(hash=False)
 
 
+def _witness_tables(base):
+    """({λ_p support: p}, {υ_p support: p}) over the base elements.
+
+    λ_p is supported off the down-set of p and υ_p on its up-set; both
+    maps are in element order and have one entry per element.
+    """
+    full = base.full_mask
+    lambdas = {full & ~down: p for p, down in zip(base.elements, base.down_masks)}
+    return lambdas, dict(zip(base.up_masks, base.elements))
+
+
+def _match_witnesses(lattice, found, witness, side):
+    # The found irreducibles (member indices) must be exactly the members
+    # whose supports the witness table names.
+    members = tuple(map(lattice.member, found))
+    matched = {}
+    for x in members:
+        if x.support not in witness:
+            raise LemmaViolationError(
+                f"{side}-irreducible member has no base-element witness",
+                counterexample=x,
+            )
+        matched[x] = witness[x.support]
+    found = set(found)
+    for support, p in witness.items():
+        i = lattice.index_of_support(support)
+        if i not in found:
+            raise LemmaViolationError(
+                f"embedded element {p!r} gives a reducible member",
+                counterexample=lattice.member(i),
+            )
+    return members, matched
+
+
 def irreducibles(lattice):
     """Compute all irreducible members and match them to base elements.
+
+    Irreducibles have exactly one upper (meet) or lower (join) cover,
+    counted on the supports; only they are made into member objects.
 
     Raises LemmaViolationError (an implementation bug by construction) if
     an irreducible lacks a witness or an embedded element is reducible.
     """
     base = lattice.base
-    lambda_by_support = {lambda_of(lattice, p).support: p for p in base.elements}
-    upsilon_by_support = {upsilon_of(lattice, p).support: p for p in base.elements}
-
-    meets = tuple(x for x in lattice.members if is_meet_irreducible(lattice, x))
-    joins = tuple(x for x in lattice.members if is_join_irreducible(lattice, x))
-
-    lambda_witness = {}
-    for x in meets:
-        if x.support not in lambda_by_support:
-            raise LemmaViolationError(
-                "meet-irreducible member has no base-element witness",
-                counterexample=x,
-            )
-        lambda_witness[x] = lambda_by_support[x.support]
-    for support, p in lambda_by_support.items():
-        x = lattice.member(lattice.index_of_support(support))
-        if not is_meet_irreducible(lattice, x):
-            raise LemmaViolationError(
-                f"embedded element {p!r} gives a reducible member",
-                counterexample=x,
-            )
-
-    upsilon_witness = {}
-    for x in joins:
-        if x.support not in upsilon_by_support:
-            raise LemmaViolationError(
-                "join-irreducible member has no base-element witness",
-                counterexample=x,
-            )
-        upsilon_witness[x] = upsilon_by_support[x.support]
-    for support, p in upsilon_by_support.items():
-        x = lattice.member(lattice.index_of_support(support))
-        if not is_join_irreducible(lattice, x):
-            raise LemmaViolationError(
-                f"embedded element {p!r} gives a reducible member",
-                counterexample=x,
-            )
-
+    lambdas, upsilons = _witness_tables(base)
+    up, down, full = base.up_masks, base.down_masks, base.full_mask
+    meets, joins = [], []
+    for i, s in enumerate(lattice.supports):
+        if len(_maximal_outside(up, s)) == 1:
+            meets.append(i)
+        if len(_maximal_outside(down, full & ~s)) == 1:
+            joins.append(i)
+    meets, lambda_witness = _match_witnesses(lattice, meets, lambdas, "meet")
+    joins, upsilon_witness = _match_witnesses(lattice, joins, upsilons, "join")
     return IrreducibleReport(meets, joins, lambda_witness, upsilon_witness)

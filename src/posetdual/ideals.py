@@ -4,12 +4,11 @@ Subsets of the lattice are bitmasks over the canonical member order, so
 all the closure checks below are mask algebra.
 """
 
-import operator
 from dataclasses import dataclass
 
 from .errors import LemmaViolationError
 from .poset import _bits
-from .dual import lambda_of, upsilon_of
+from .dual import _witness_tables
 
 
 @dataclass(frozen=True)
@@ -38,30 +37,30 @@ class SubsetOfLattice:
         return self.member_mask >> self.lattice.member_index(x) & 1 == 1
 
 
-def _is_closed(subset, intervals, combine, identity):
-    # In a finite lattice a down-closed set is closed under pairwise join
-    # iff it holds the join of all its members (a v b lies below it), and
-    # dually for up-closed sets and meets; so one pass over the subset.
+def is_ideal(subset):
+    """Downward closed and closed under pairwise join (empty set counts).
+
+    A nonempty one is the principal ideal of its join (finite lattice).
+    """
     lat = subset.lattice
     mask = subset.member_mask
-    acc = identity
+    join = 0
     for i in _bits(mask):
-        if intervals[i] & ~mask:
-            return False
-        acc = combine(acc, lat.supports[i])
-    return mask == 0 or mask >> lat.index_of_support(acc) & 1 == 1
-
-
-def is_ideal(subset):
-    """Downward closed and closed under pairwise join (empty set counts)."""
-    down, _ = subset.lattice._intervals()
-    return _is_closed(subset, down, operator.or_, 0)
+        join |= lat.supports[i]
+    return mask == 0 or mask == lat.down_interval(lat.index_of_support(join))
 
 
 def is_filter(subset):
-    """Upward closed and closed under pairwise meet (empty set counts)."""
-    _, up = subset.lattice._intervals()
-    return _is_closed(subset, up, operator.and_, subset.lattice.base.full_mask)
+    """Upward closed and closed under pairwise meet (empty set counts).
+
+    A nonempty one is the principal filter of its meet (finite lattice).
+    """
+    lat = subset.lattice
+    mask = subset.member_mask
+    meet = lat.base.full_mask
+    for i in _bits(mask):
+        meet &= lat.supports[i]
+    return mask == 0 or mask == lat.up_interval(lat.index_of_support(meet))
 
 
 def is_prime_ideal(subset):
@@ -79,14 +78,12 @@ def is_prime_filter(subset):
 
 def principal_ideal(lattice, x):
     """All members below x (inclusive)."""
-    i = lattice.member_index(x)
-    return SubsetOfLattice(lattice, lattice.down_intervals[i])
+    return SubsetOfLattice(lattice, lattice.down_interval(lattice.member_index(x)))
 
 
 def principal_filter(lattice, x):
     """All members above x (inclusive)."""
-    i = lattice.member_index(x)
-    return SubsetOfLattice(lattice, lattice.up_intervals[i])
+    return SubsetOfLattice(lattice, lattice.up_interval(lattice.member_index(x)))
 
 
 @dataclass(frozen=True)
@@ -104,28 +101,26 @@ class PrimePairReport:
 def prime_principal_pairs(lattice):
     """Find every complementary principal ideal/filter pair.
 
-    Each principal ideal is matched to the principal filter on its
-    complement through one dict lookup; pairs come in member order of u.
+    For each member u, the members outside the interval below u form a
+    principal filter iff they are the interval above their least member,
+    which canonical order puts first; pairs come in member order of u.
 
     Every complementary pair must be witnessed by a unique base element;
     a missing or broken witness raises LemmaViolationError (an
     implementation bug by construction).
     """
     base = lattice.base
-    down, up = lattice._intervals()
     full = lattice.full_member_mask
-    lambda_by_support = {lambda_of(lattice, p).support: p for p in base.elements}
-    upsilon_by_support = {upsilon_of(lattice, p).support: p for p in base.elements}
-
-    filter_by_complement = {full & ~up_j: j for j, up_j in enumerate(up)}
+    lambdas, upsilons = _witness_tables(base)
     pairs = []
     seen_witnesses = set()
-    for i, down_i in enumerate(down):
-        j = filter_by_complement.get(down_i)
-        if j is not None:
+    for i in range(len(lattice)):
+        rest = full & ~lattice.down_interval(i)
+        j = (rest & -rest).bit_length() - 1
+        if rest and rest == lattice.up_interval(j):
             u, v = lattice.member(i), lattice.member(j)
-            p = lambda_by_support.get(u.support)
-            if p is None or upsilon_by_support.get(v.support) != p:
+            p = lambdas.get(u.support)
+            if p is None or upsilons.get(v.support) != p:
                 raise LemmaViolationError(
                     "complementary principal pair without a witness",
                     counterexample=(u, v),

@@ -47,11 +47,15 @@ def _ones_mask_checker(lattice):
     # Pairwise form of the hom conditions on the map whose preimage of 1
     # is the given member-index mask: bounds, zero side downward closed
     # and join closed, one side meet closed (upward closure follows).
-    # The lattice's lookups are read here once, not once per candidate.
+    # Lookups are read once per lattice; down[i] (members below member i)
+    # compares supports pairwise, sharing nothing with the member columns.
     top_bit = 1 << (len(lattice) - 1)
-    down, _ = lattice._intervals()
     full = lattice.full_member_mask
     supports = lattice.supports
+    down = [
+        sum(1 << j for j, sj in enumerate(supports) if sj & ~si == 0)
+        for si in supports
+    ]
     index_of = lattice._member_index
 
     def ok(ones_mask):

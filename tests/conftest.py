@@ -43,6 +43,23 @@ def evaluation_columns_scan(lattice):
     )
 
 
+def intervals_scan(lattice):
+    """(down, up): down[i] is the member-index bitmask of every member
+    below member i, up[i] of every member above it, both inclusive, from
+    comparing every pair of supports."""
+    supports = lattice.supports
+    down = []
+    up = [0] * len(supports)
+    for i, si in enumerate(supports):
+        d = 0
+        for j, sj in enumerate(supports):
+            if sj & ~si == 0:
+                d |= 1 << j
+                up[j] |= 1 << i
+        down.append(d)
+    return down, up
+
+
 def least_upper_bound_scan(lattice, maps):
     """Order-theoretic LUB: collect all upper bounds, pick the least.
 

@@ -29,7 +29,7 @@ from posetdual import (
 )
 from posetdual.poset import random_poset
 
-from conftest import all_labeled_posets, poset_catalog, random_suite
+from conftest import all_labeled_posets, intervals_scan, poset_catalog, random_suite
 
 import io
 
@@ -135,7 +135,7 @@ def test_criterion_5_prime_pairs(suite):
         if {e for _, _, e in report.pairs} != set(p.elements):
             ok = False
         # independent exhaustive complement scan
-        down, up = lattice._intervals()
+        down, up = intervals_scan(lattice)
         full = lattice.full_member_mask
         found = {
             (i, j)
