@@ -75,7 +75,7 @@ def _build_parser():
             p.add_argument(
                 "--brute-force",
                 action="store_true",
-                help="also run the exhaustive second-dual enumeration",
+                help="also check the second dual against its independent oracle",
             )
         if cmd == "dual":
             p.add_argument(

@@ -31,10 +31,6 @@ class BoundedHom:
         self.lattice.check_member(x)
         return 0 if x.support & ~self.kernel_top.support == 0 else 1
 
-    def values(self):
-        """Value at every member, in canonical member order."""
-        return tuple(self.value(x) for x in self.lattice.members)
-
 
 def hom_leq(g, h):
     """Pointwise order on homs: reverse inclusion of kernel ideals."""
@@ -43,19 +39,25 @@ def hom_leq(g, h):
     return h.kernel_top.support & ~g.kernel_top.support == 0
 
 
-def _ones_mask_checker(lattice):
-    # Pairwise form of the hom conditions on the map whose preimage of 1
-    # is the given member-index mask: bounds, zero side downward closed
-    # and join closed, one side meet closed (upward closure follows).
-    # Lookups are read once per lattice; down[i] (members below member i)
-    # compares supports pairwise, sharing nothing with the member columns.
-    top_bit = 1 << (len(lattice) - 1)
-    full = lattice.full_member_mask
+def _down_rows(lattice):
+    # down[i]: member-index mask of the members below member i, from
+    # comparing supports pairwise (O(m^2)), sharing nothing with the
+    # member columns.
     supports = lattice.supports
-    down = [
+    return [
         sum(1 << j for j, sj in enumerate(supports) if sj & ~si == 0)
         for si in supports
     ]
+
+
+def _ones_mask_checker(lattice, down):
+    # Pairwise form of the hom conditions on the map whose preimage of 1
+    # is the given member-index mask: bounds, zero side downward closed
+    # and join closed, one side meet closed (upward closure follows).
+    # Lookups are read once per lattice; down is _down_rows(lattice).
+    top_bit = 1 << (len(lattice) - 1)
+    full = lattice.full_member_mask
+    supports = lattice.supports
     index_of = lattice._member_index
 
     def ok(ones_mask):
@@ -91,15 +93,17 @@ def _ones_mask_checker(lattice):
 def is_bounded_complete_hom(lattice, values):
     """Check a candidate map (values per member, canonical order).
 
-    Uses bound checks plus pairwise join/meet preservation; in a finite
-    lattice this is equivalent to preserving arbitrary sups and infs
-    (see satisfies_hom_definition, kept as the definitional oracle).
+    Bounds, a zero side downward closed and closed under pairwise joins,
+    and a one side closed under pairwise meets. Every sup and inf in a
+    finite lattice is an iterated pairwise one, so this equals preserving
+    arbitrary sups and infs (satisfies_hom_definition is the definitional
+    oracle). O(m^2) per call.
     """
     ones_mask = 0
     for i, v in enumerate(values):
         if v:
             ones_mask |= 1 << i
-    return _ones_mask_checker(lattice)(ones_mask)
+    return _ones_mask_checker(lattice, _down_rows(lattice))(ones_mask)
 
 
 def satisfies_hom_definition(lattice, values, max_members=DEFAULT_DEFINITION_CAP):
@@ -134,33 +138,32 @@ def satisfies_hom_definition(lattice, values, max_members=DEFAULT_DEFINITION_CAP
     return True
 
 
-def _hom_from_ones_mask(lattice, ones_mask):
-    union = 0
-    for i in _bits(lattice.full_member_mask & ~ones_mask):
-        union |= lattice.supports[i]
-    kernel_top = lattice.member(lattice.index_of_support(union))
-    return BoundedHom(lattice, kernel_top)
+def enumerate_second_dual_bruteforce(lattice):
+    """All valid homs, in canonical order of kernel top.
 
-
-def enumerate_second_dual_bruteforce(lattice, cap=DEFAULT_BRUTEFORCE_CAP):
-    """All valid homs, found by filtering every 2-valued map on members.
-
-    Canonically ordered by kernel top. Independent of the evaluation-hom
-    construction; this is the oracle side of the isomorphism check.
+    A valid hom's zero side is nonempty, downward closed and join closed,
+    so in a finite lattice it is the principal ideal of its join k. The
+    only candidates are thus the m maps that are 0 exactly below some
+    member k; each is checked pairwise, as in is_bounded_complete_hom,
+    and if valid is the hom with kernel top k. The order comes from
+    comparing supports, not from the member columns or the base poset,
+    so this stays independent of evaluation_hom: it is the oracle side
+    of the isomorphism check.
     """
     m = len(lattice)
-    if m > cap:
+    if m > DEFAULT_BRUTEFORCE_CAP:
         raise TooLargeError(
-            f"brute-force hom enumeration over {m} members exceeds cap {cap}"
+            f"brute-force hom enumeration over {m} members exceeds cap "
+            f"{DEFAULT_BRUTEFORCE_CAP}"
         )
-    homs = []
-    ok = _ones_mask_checker(lattice)
-    # Bottom must map to 0, so only even ones-masks can qualify.
-    for ones_mask in range(0, 1 << m, 2):
-        if ok(ones_mask):
-            homs.append(_hom_from_ones_mask(lattice, ones_mask))
-    homs.sort(key=lambda h: lattice.member_index(h.kernel_top))
-    return homs
+    down = _down_rows(lattice)
+    ok = _ones_mask_checker(lattice, down)
+    full = lattice.full_member_mask
+    return [
+        BoundedHom(lattice, lattice.member(k))
+        for k in range(m)
+        if ok(full & ~down[k])
+    ]
 
 
 def evaluation_hom(lattice, element):
@@ -213,17 +216,14 @@ class IsomorphismReport:
         )
 
 
-def verify_isomorphism(
-    lattice,
-    use_bruteforce=False,
-    bruteforce_cap=DEFAULT_BRUTEFORCE_CAP,
-):
+def verify_isomorphism(lattice, use_bruteforce=False):
     """Check that the second dual of a dual lattice mirrors its base poset.
 
     Checks the round trip (recovering each element from its evaluation
     hom), the order embedding in both directions, and, when requested and
-    small enough, that the evaluation homs are exactly the brute-force
-    enumerated ones. Failures are reported, not raised.
+    the lattice has at most DEFAULT_BRUTEFORCE_CAP members, that the
+    evaluation homs are exactly the brute-force enumerated ones (skipped
+    above the cap). Failures are reported, not raised.
     """
     poset = lattice.base
     failures = []
@@ -251,8 +251,8 @@ def verify_isomorphism(
                 failures.append(f"order embedding broke at ({p!r}, {q!r})")
 
     brute_force_matched = None
-    if use_bruteforce and len(lattice) <= bruteforce_cap:
-        enumerated = enumerate_second_dual_bruteforce(lattice, cap=bruteforce_cap)
+    if use_bruteforce and len(lattice) <= DEFAULT_BRUTEFORCE_CAP:
+        enumerated = enumerate_second_dual_bruteforce(lattice)
         brute_force_matched = set(enumerated) == set(forward.values())
         if not brute_force_matched:
             failures.append(

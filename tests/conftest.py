@@ -8,11 +8,14 @@ posets are generated by filtering raw relations.
 from itertools import combinations, product
 
 from posetdual import (
+    BoundedHom,
     find_isomorphism,
     poset_from_relations,
     random_poset,
     transitive_reduction,
 )
+from posetdual.poset import _bits
+from posetdual.seconddual import _down_rows, _ones_mask_checker
 
 
 def upset_masks_bruteforce(poset):
@@ -58,6 +61,26 @@ def intervals_scan(lattice):
                 up[j] |= 1 << i
         down.append(d)
     return down, up
+
+
+def homs_by_all_maps(lattice):
+    """Every valid hom to {0, 1}, by running the library's pairwise hom
+    check (itself checked against satisfies_hom_definition) on every map
+    that sends the bottom to 0: the even ones-masks, 2^(m-1) of them. Each
+    kernel top is the union of the zero side's supports. Sorted by kernel
+    top in canonical member order."""
+    ok = _ones_mask_checker(lattice, _down_rows(lattice))
+    full = lattice.full_member_mask
+    homs = []
+    for ones_mask in range(0, 1 << len(lattice), 2):
+        if ok(ones_mask):
+            union = 0
+            for i in _bits(full & ~ones_mask):
+                union |= lattice.supports[i]
+            kernel_top = lattice.member(lattice.index_of_support(union))
+            homs.append(BoundedHom(lattice, kernel_top))
+    homs.sort(key=lambda h: lattice.member_index(h.kernel_top))
+    return homs
 
 
 def least_upper_bound_scan(lattice, maps):

@@ -1,4 +1,5 @@
 import io
+import os
 import subprocess
 import sys
 import types
@@ -11,6 +12,7 @@ from posetdual import LemmaViolationError, run_cli
 from posetdual import dual as dual_mod
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_posets"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(argv):
@@ -159,24 +161,27 @@ def test_irreducibles_and_primes_subcommands():
     assert "pair_count: 2" in out
 
 
-def test_console_entry_point():
-    result = subprocess.run(
-        [sys.executable, "-m", "posetdual.cli", "verify",
+def run_module(module):
+    # The child gets src on its path too, however the session found it.
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", module, "verify",
          str(SAMPLES / "singleton.poset"), "--brute-force"],
         capture_output=True,
         text=True,
+        env=env,
     )
+
+
+def test_console_entry_point():
+    result = run_module("posetdual.cli")
     assert result.returncode == 0
     assert "result: pass" in result.stdout
 
 
 def test_module_entry_point():
-    result = subprocess.run(
-        [sys.executable, "-m", "posetdual", "verify",
-         str(SAMPLES / "singleton.poset"), "--brute-force"],
-        capture_output=True,
-        text=True,
-    )
+    result = run_module("posetdual")
     assert result.returncode == 0
     assert "result: pass" in result.stdout
     assert result.stderr == ""

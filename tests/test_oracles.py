@@ -3,8 +3,9 @@
 Covers, irreducibility and the lattice Hasse diagram are read off the
 base poset in production; principal intervals are read off the member
 columns, and ideal and filter checks compare a subset with the interval
-of its join or meet. The oracles in conftest rebuild each from the member
-order alone.
+of its join or meet; the second dual's homs are checked only on the
+principal-ideal candidates. The oracles in conftest rebuild each from the
+member order alone, or, for the homs, from every map on the members.
 """
 
 import pytest
@@ -13,6 +14,7 @@ from posetdual import (
     SubsetOfLattice,
     emit_lattice_dot,
     enumerate_dual,
+    enumerate_second_dual_bruteforce,
     greatest_below,
     is_filter,
     is_ideal,
@@ -25,6 +27,7 @@ from posetdual import (
 
 from conftest import (
     greatest_lower_bound_scan,
+    homs_by_all_maps,
     intervals_scan,
     is_filter_pairwise,
     is_ideal_pairwise,
@@ -35,6 +38,7 @@ from conftest import (
 )
 
 SUBSET_CAP = 10
+ALL_MAPS_CAP = 16
 # 2^13 members: two blocks of the column transpose.
 WIDE = 13
 
@@ -79,6 +83,16 @@ def test_intervals_match_pairwise_scan(lattices):
         down, up = intervals_scan(lattice)
         assert [lattice.down_interval(i) for i in range(len(lattice))] == down
         assert [lattice.up_interval(i) for i in range(len(lattice))] == up
+
+
+def test_second_dual_candidates_match_all_maps(lattices):
+    checked = 0
+    for lattice in lattices:
+        if len(lattice) > ALL_MAPS_CAP:
+            continue
+        assert enumerate_second_dual_bruteforce(lattice) == homs_by_all_maps(lattice)
+        checked += 1
+    assert checked > 200
 
 
 @pytest.fixture(scope="module")

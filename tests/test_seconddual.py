@@ -79,7 +79,7 @@ def test_bruteforce_counts():
 def test_bruteforce_cap():
     p = poset_from_relations([f"e{i}" for i in range(5)], [])
     with pytest.raises(TooLargeError):
-        enumerate_second_dual_bruteforce(enumerate_dual(p), cap=20)
+        enumerate_second_dual_bruteforce(enumerate_dual(p))
 
 
 def test_evaluation_hom_kernels():
@@ -155,11 +155,25 @@ def test_verify_empty_poset():
 
 def test_bruteforce_skipped_over_cap():
     p = poset_from_relations([f"e{i}" for i in range(5)], [])
-    report = verify_isomorphism(
-        enumerate_dual(p), use_bruteforce=True, bruteforce_cap=20
-    )
+    report = verify_isomorphism(enumerate_dual(p), use_bruteforce=True)
     assert report.brute_force_matched is None
     assert report.ok
+
+
+def chain(n):
+    names = [f"c{i}" for i in range(n)]
+    return enumerate_dual(poset_from_relations(names, list(zip(names, names[1:]))))
+
+
+def test_bruteforce_cap_boundary():
+    # An n-chain has n + 1 members; the cap is 20 members.
+    at_cap, over_cap = chain(19), chain(20)
+    assert len(at_cap) == 20 and len(over_cap) == 21
+    assert len(enumerate_second_dual_bruteforce(at_cap)) == 19
+    assert verify_isomorphism(at_cap, use_bruteforce=True).brute_force_matched is True
+    with pytest.raises(TooLargeError):
+        enumerate_second_dual_bruteforce(over_cap)
+    assert verify_isomorphism(over_cap, use_bruteforce=True).brute_force_matched is None
 
 
 def test_round_trip_on_catalog():
