@@ -5,6 +5,7 @@ Exit codes: 0 success / all checks pass, 1 a lemma check failed,
 """
 
 import argparse
+import functools
 import sys
 
 from . import dual as dual_mod
@@ -43,7 +44,10 @@ def probability(text):
     return p
 
 
+@functools.cache
 def _build_parser():
+    # Built on the first run_cli call and reused: parse_args keeps no state
+    # between calls, and a build costs more than a refused job.
     parser = argparse.ArgumentParser(
         prog="posetdual",
         description="Finite-poset duality toolkit: dual lattice, ideals, "
@@ -239,8 +243,7 @@ def run_cli(argv=None, out=None, err=None):
     """Run one CLI invocation and return its exit code."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args, out)
     except TooLargeError as exc:

@@ -6,7 +6,6 @@ poset. Lattice joins and meets are then bitwise or/and of supports.
 """
 
 from dataclasses import dataclass, field
-from itertools import islice
 
 from .errors import BaseMismatchError, LemmaViolationError, TooLargeError
 from .poset import _bits
@@ -167,16 +166,87 @@ def _iter_upset_masks(poset):
         yield included
 
 
+def _count_upsets(poset, limit):
+    """Number of up-sets of the poset.
+
+    Raises TooLargeError once the count would need more than `limit`
+    memo entries, which proves there are more than `limit` + 1 up-sets.
+
+    Counts by recursion on a mask s of elements. If s falls apart into
+    several connected components of its comparability graph, its count
+    is the product of theirs. Otherwise pivot on the element p
+    comparable to most others in s: an up-set either holds p, and with
+    it all of ↑p, or avoids it, and with it all of ↓p, so
+    count(s) = count(s - ↓p) + count(s - ↑p). Counts are memoized by s.
+
+    Computing count(s) memoizes at most count(s) - 1 nonzero masks, by
+    induction: a pivot adds 1 + (a - 1) + (b - 1), and k >= 2 components
+    of counts a_i >= 2 add 1 + sum(a_i - 1) <= prod(a_i) - 1. Counting
+    is #P-hard in general (Provan & Ball 1983); the memo budget bounds
+    the work.
+    """
+    up, down = poset.up_masks, poset.down_masks
+    near = [u | d for u, d in zip(up, down)]
+    memo = {}
+
+    def count(s):
+        if not s:
+            return 1
+        total = memo.get(s)
+        if total is not None:
+            return total
+        # Grow the component of the lowest element left, one layer at a
+        # time, noting the element comparable to most others in s.
+        parts = []
+        rest = s
+        while rest:
+            part = frontier = rest & -rest
+            most = -1
+            while frontier:
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    q = low.bit_length() - 1
+                    reach |= near[q]
+                    k = (near[q] & s).bit_count()
+                    if k > most:
+                        most, p = k, q
+                frontier = reach & rest & ~part
+                part |= frontier
+            parts.append(part)
+            rest &= ~part
+        if len(parts) > 1:
+            total = 1
+            for part in parts:
+                total *= count(part)
+        else:
+            total = count(s & ~down[p]) + count(s & ~up[p])
+        memo[s] = total
+        if len(memo) > limit:
+            raise TooLargeError(
+                f"dual lattice has more than {limit} members, cap {limit}"
+            )
+        return total
+
+    return count(poset.full_mask)
+
+
 def enumerate_dual(poset, max_members=DEFAULT_MAX_MEMBERS):
     """Enumerate every up-set of the poset as a lattice of monotone maps.
 
-    Walks the up-sets once, holding at most max_members + 1 support masks,
-    and raises TooLargeError instead of building the lattice when there are
-    more than max_members of them.
+    Counts the up-sets first, with a memo budget of max_members entries,
+    and raises TooLargeError naming the count, or saying the budget ran
+    out, when there are more than max_members of them; nothing is walked
+    then. Otherwise walks them all and raises LemmaViolationError if the
+    walk and the count disagree, so each checks the other.
     """
-    masks = list(islice(_iter_upset_masks(poset), max(max_members + 1, 0)))
-    if len(masks) > max_members:
-        raise TooLargeError(f"dual lattice exceeds member cap {max_members}")
+    count = _count_upsets(poset, max_members)
+    if count > max_members:
+        raise TooLargeError(f"dual lattice has {count} members, cap {max_members}")
+    masks = list(_iter_upset_masks(poset))
+    if len(masks) != count:
+        raise LemmaViolationError(f"walked {len(masks)} up-sets but counted {count}")
     return DualLattice(poset, masks)
 
 

@@ -85,9 +85,11 @@ def _check_prime_pairs(lattice, pair_report):
         filt = ideals_mod.principal_filter(lattice, v)
         if not ideals_mod.is_prime_ideal(ideal):
             return False, f"p={p} ideal-not-prime"
-        if not ideals_mod.is_prime_filter(filt):
-            return False, f"p={p} filter-not-prime"
+        # A filter complementary to the ideal needs no primeness check of
+        # its own: is_prime_filter(filt) would be is_prime_ideal(ideal).
         if filt.member_mask != lattice.full_member_mask & ~ideal.member_mask:
+            if not ideals_mod.is_prime_filter(filt):
+                return False, f"p={p} filter-not-prime"
             return False, f"p={p} not-complementary"
         if u.evaluate(p) != 0 or v.evaluate(p) != 1:
             return False, f"p={p} embeddings-not-disjoint"

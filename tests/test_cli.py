@@ -9,6 +9,7 @@ import pytest
 
 import posetdual
 from posetdual import LemmaViolationError, run_cli
+from posetdual import cli as cli_mod
 from posetdual import dual as dual_mod
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_posets"
@@ -82,6 +83,16 @@ def test_size_cap_exit_code(tmp_path):
     assert code == 3
 
 
+def test_size_cap_error_names_the_count(tmp_path):
+    f = tmp_path / "anti.poset"
+    names = " ".join(f"e{i}" for i in range(40))
+    f.write_text(f"poset big\nelements: {names}\nrelations:\n")
+    code, out, err = run(["dual", str(f), "--max-members", "100"])
+    assert code == 3
+    assert out == ""
+    assert err == "error: dual lattice has 1099511627776 members, cap 100\n"
+
+
 def test_second_dual_honours_size_cap(tmp_path):
     f = tmp_path / "anti.poset"
     names = " ".join(f"e{i}" for i in range(5))
@@ -96,6 +107,29 @@ def test_subcommands_reject_flags_they_do_not_read():
     with pytest.raises(SystemExit) as exc:
         run(["hasse", str(SAMPLES / "chain2.poset"), "--brute-force"])
     assert exc.value.code == 2
+
+
+def test_parser_is_reused_without_leaking_state(tmp_path, monkeypatch):
+    seen = []
+    real = cli_mod._COMMANDS["dual"]
+
+    def spy(args, out):
+        seen.append(args.dot)
+        return real(args, out)
+
+    monkeypatch.setitem(cli_mod._COMMANDS, "dual", spy)
+    dot = tmp_path / "out.dot"
+    chain2 = str(SAMPLES / "chain2.poset")
+    assert run(["dual", chain2, "--dot", str(dot)])[0] == 0
+    assert run(["dual", chain2])[0] == 0
+    assert seen == [str(dot), None]
+    assert cli_mod._build_parser() is cli_mod._build_parser()
+
+    with pytest.raises(SystemExit) as exc:
+        run(["hasse", chain2, "--brute-force"])
+    assert exc.value.code == 2
+    code, out, err = run(["verify", chain2])
+    assert code == 0 and "result: pass" in out and err == ""
 
 
 def test_random_subcommand_deterministic(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 
 from posetdual import (
     BaseMismatchError,
+    LemmaViolationError,
     TooLargeError,
     UnknownElementError,
     enumerate_dual,
@@ -22,7 +23,8 @@ from posetdual import (
     support_label,
     upsilon_of,
 )
-from posetdual.dual import _iter_upset_masks
+from posetdual import dual as dual_mod
+from posetdual.dual import _count_upsets, _iter_upset_masks
 
 from conftest import (
     evaluation_columns_scan,
@@ -32,6 +34,9 @@ from conftest import (
     random_suite,
     upset_masks_bruteforce,
 )
+
+
+DEFAULT_CAP = dual_mod.DEFAULT_MAX_MEMBERS
 
 
 def make(elements, pairs):
@@ -72,19 +77,91 @@ def test_members_match_subset_filter():
         assert sorted(x.support for x in lattice.members) == expected
 
 
+def antichain(n):
+    return poset_from_relations([f"e{i}" for i in range(n)], [])
+
+
+def fence(n):
+    # e0 < e1 > e2 < e3 ...: its up-sets are the independent sets of a
+    # path on n vertices, F(n + 2) of them.
+    pairs = [(f"e{i}", f"e{i + 1}") if i % 2 == 0 else (f"e{i + 1}", f"e{i}")
+             for i in range(n - 1)]
+    return poset_from_relations([f"e{i}" for i in range(n)], pairs)
+
+
+def grid(rows, cols):
+    names = [f"g{r}_{c}" for r in range(rows) for c in range(cols)]
+    pairs = [(f"g{r}_{c}", f"g{r + 1}_{c}") for r in range(rows - 1)
+             for c in range(cols)]
+    pairs += [(f"g{r}_{c}", f"g{r}_{c + 1}") for r in range(rows)
+              for c in range(cols - 1)]
+    return poset_from_relations(names, pairs)
+
+
 def test_member_cap():
-    p = poset_from_relations([f"e{i}" for i in range(6)], [])
+    p = antichain(6)
     with pytest.raises(TooLargeError):
         enumerate_dual(p, max_members=63)
     assert len(enumerate_dual(p, max_members=64)) == 64
     for cap in (0, -1, -5):
         with pytest.raises(TooLargeError):
             enumerate_dual(p, max_members=cap)
-    for q in random_suite(count=30) + [random_poset(10, 3, 0.2)]:
+    for q in random_suite() + [random_poset(10, 3, 0.2)]:
         m = len(upset_masks_bruteforce(q))
-        with pytest.raises(TooLargeError):
-            enumerate_dual(q, max_members=m - 1)
-        assert len(enumerate_dual(q, max_members=m)) == m
+        for cap in range(-1, m + 1):
+            if cap < m:
+                with pytest.raises(TooLargeError):
+                    enumerate_dual(q, max_members=cap)
+            else:
+                assert len(enumerate_dual(q, max_members=cap)) == m
+
+
+def test_count_matches_walk():
+    for p in poset_catalog(4) + random_suite() + [grid(4, 8)]:
+        assert _count_upsets(p, DEFAULT_CAP) == len(list(_iter_upset_masks(p)))
+
+
+def test_count_closed_forms():
+    fib = [0, 1]
+    while len(fib) < 67:
+        fib.append(fib[-1] + fib[-2])
+    for n in range(65):
+        assert _count_upsets(antichain(n), DEFAULT_CAP) == 2**n
+        assert _count_upsets(fence(n), DEFAULT_CAP) == fib[n + 2]
+    assert _count_upsets(grid(4, 8), DEFAULT_CAP) == 495  # C(12, 4)
+
+
+def test_budget_counts_memo_entries():
+    # An n-antichain memoizes n singletons and itself; the count stops
+    # once the memo holds more than the budget.
+    assert _count_upsets(antichain(40), 41) == 2**40
+    with pytest.raises(TooLargeError, match="^dual lattice has more than 40 "):
+        _count_upsets(antichain(40), 40)
+    assert _count_upsets(antichain(0), -1) == 1
+
+
+def test_refusals_walk_no_upsets(monkeypatch):
+    def no_walk(poset):
+        raise AssertionError("walked the up-sets of an over-cap poset")
+
+    monkeypatch.setattr(dual_mod, "_iter_upset_masks", no_walk)
+    message = "^dual lattice has 1099511627776 members, cap 4194304$"
+    with pytest.raises(TooLargeError, match=message):
+        enumerate_dual(antichain(40))
+    # 198,912 up-sets; the memo outgrows a budget of 10 before the count ends.
+    p = random_poset(24, 0, 0.05)
+    message = "^dual lattice has more than 10 members, cap 10$"
+    with pytest.raises(TooLargeError, match=message):
+        enumerate_dual(p, max_members=10)
+
+
+def test_walk_and_count_must_agree(monkeypatch):
+    def short_walk(poset):
+        return list(_iter_upset_masks(poset))[1:]
+
+    monkeypatch.setattr(dual_mod, "_iter_upset_masks", short_walk)
+    with pytest.raises(LemmaViolationError, match="walked 7 up-sets but counted 8"):
+        enumerate_dual(antichain(3))
 
 
 def test_walk_yields_each_upset_once():
