@@ -4,8 +4,8 @@ Plain digraphs only: quoted node ids, optional label attributes, and
 lower -> upper cover edges.
 """
 
-from .dual import DualLattice, _maximal_outside, _witness_tables
-from .poset import FinitePoset, transitive_reduction
+from .dual import _maximal_outside, _witness_tables
+from .poset import transitive_reduction
 
 
 def support_label(x):
@@ -58,10 +58,3 @@ def emit_lattice_dot(lattice, name="L", label_embeddings=False):
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def emit_dot(obj, name=None, label_embeddings=False):
-    if isinstance(obj, FinitePoset):
-        return emit_poset_dot(obj, name or "P")
-    if isinstance(obj, DualLattice):
-        return emit_lattice_dot(obj, name or "L", label_embeddings=label_embeddings)
-    raise TypeError(f"cannot emit DOT for {type(obj).__name__}")

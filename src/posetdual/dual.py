@@ -32,11 +32,6 @@ class MonotoneMap:
         return tuple(self.base.elements[i] for i in _bits(self.support))
 
 
-def evaluate(x, element):
-    """Value of the map x at a base element."""
-    return x.evaluate(element)
-
-
 class DualLattice:
     """All monotone maps base -> {0, 1} under the pointwise order.
 
@@ -48,9 +43,9 @@ class DualLattice:
     lambda_of; each member has exactly one object however it is reached.
     `columns[p]` is the member-index mask of the members whose support
     holds base element p, i.e. the preimage of 1 under evaluation at p;
-    evaluation homs and the intervals below and above member i,
-    `down_interval(i)` and `up_interval(i)`, are read from it in O(n)
-    big-int operations. Immutable after construction.
+    evaluation homs and the principal ideal and filter of a set of
+    members, `ideal_of(mask)` and `filter_of(mask)`, are read from it in
+    O(n) big-int operations. Immutable after construction.
     """
 
     def __init__(self, base, support_masks):
@@ -125,20 +120,22 @@ class DualLattice:
         if x.base is not self.base or x.support not in self._member_index:
             raise BaseMismatchError("map does not belong to this lattice")
 
-    def down_interval(self, i):
-        """Member-index mask of the members below member i (inclusive):
-        those holding no element outside its support."""
+    def ideal_of(self, mask):
+        """Member-index mask of the ideal below the join of the members in
+        `mask`, e.g. the interval below member i for mask 1 << i."""
         outside = 0
-        for q in _bits(self.base.full_mask & ~self.supports[i]):
-            outside |= self.columns[q]
+        for column in self.columns:
+            if not column & mask:
+                outside |= column
         return self.full_member_mask & ~outside
 
-    def up_interval(self, i):
-        """Member-index mask of the members above member i (inclusive):
-        those holding every element of its support."""
+    def filter_of(self, mask):
+        """Member-index mask of the filter above the meet of the members in
+        `mask`, e.g. the interval above member i for mask 1 << i."""
         inside = self.full_member_mask
-        for q in _bits(self.supports[i]):
-            inside &= self.columns[q]
+        for column in self.columns:
+            if not mask & ~column:
+                inside &= column
         return inside
 
 
@@ -352,10 +349,36 @@ def _witness_tables(base):
     return lambdas, dict(zip(base.up_masks, base.elements))
 
 
+def _irreducible_masks(lattice):
+    """(meet, join): member-index masks of the meet- and join-irreducibles.
+
+    Member U has an upper cover U | {p} per p maximal outside it, that is
+    per M_p = ~col[p] & AND{col[q] : q > p} holding U (Birkhoff), and a
+    lower cover per J_p = col[p] & ~OR{col[q] : q < p} holding U. Members
+    in exactly one are counted bit-sliced, in O(n^2) big-int operations.
+    """
+    columns = lattice.columns
+    up, down = lattice.base.up_masks, lattice.base.down_masks
+    meet_once = meet_twice = join_once = join_twice = 0
+    for p, column in enumerate(columns):
+        above, below = lattice.full_member_mask, 0
+        for q in _bits(up[p] & ~(1 << p)):
+            above &= columns[q]
+        for q in _bits(down[p] & ~(1 << p)):
+            below |= columns[q]
+        maximal_outside = above & ~column
+        minimal_inside = column & ~below
+        meet_twice |= meet_once & maximal_outside
+        meet_once |= maximal_outside
+        join_twice |= join_once & minimal_inside
+        join_once |= minimal_inside
+    return meet_once & ~meet_twice, join_once & ~join_twice
+
+
 def _match_witnesses(lattice, found, witness, side):
-    # The found irreducibles (member indices) must be exactly the members
-    # whose supports the witness table names.
-    members = tuple(map(lattice.member, found))
+    # The found irreducibles (a member-index mask) must be exactly the
+    # members whose supports the witness table names.
+    members = tuple(map(lattice.member, _bits(found)))
     matched = {}
     for x in members:
         if x.support not in witness:
@@ -364,10 +387,9 @@ def _match_witnesses(lattice, found, witness, side):
                 counterexample=x,
             )
         matched[x] = witness[x.support]
-    found = set(found)
     for support, p in witness.items():
         i = lattice.index_of_support(support)
-        if i not in found:
+        if not found >> i & 1:
             raise LemmaViolationError(
                 f"embedded element {p!r} gives a reducible member",
                 counterexample=lattice.member(i),
@@ -379,20 +401,13 @@ def irreducibles(lattice):
     """Compute all irreducible members and match them to base elements.
 
     Irreducibles have exactly one upper (meet) or lower (join) cover,
-    counted on the supports; only they are made into member objects.
+    read off the member columns; only they are made into member objects.
 
     Raises LemmaViolationError (an implementation bug by construction) if
     an irreducible lacks a witness or an embedded element is reducible.
     """
-    base = lattice.base
-    lambdas, upsilons = _witness_tables(base)
-    up, down, full = base.up_masks, base.down_masks, base.full_mask
-    meets, joins = [], []
-    for i, s in enumerate(lattice.supports):
-        if len(_maximal_outside(up, s)) == 1:
-            meets.append(i)
-        if len(_maximal_outside(down, full & ~s)) == 1:
-            joins.append(i)
+    lambdas, upsilons = _witness_tables(lattice.base)
+    meets, joins = _irreducible_masks(lattice)
     meets, lambda_witness = _match_witnesses(lattice, meets, lambdas, "meet")
     joins, upsilon_witness = _match_witnesses(lattice, joins, upsilons, "join")
     return IrreducibleReport(meets, joins, lambda_witness, upsilon_witness)

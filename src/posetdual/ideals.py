@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .errors import LemmaViolationError
 from .poset import _bits
-from .dual import _witness_tables
+from .dual import _irreducible_masks, _witness_tables
 
 
 @dataclass(frozen=True)
@@ -42,12 +42,8 @@ def is_ideal(subset):
 
     A nonempty one is the principal ideal of its join (finite lattice).
     """
-    lat = subset.lattice
     mask = subset.member_mask
-    join = 0
-    for i in _bits(mask):
-        join |= lat.supports[i]
-    return mask == 0 or mask == lat.down_interval(lat.index_of_support(join))
+    return mask == 0 or mask == subset.lattice.ideal_of(mask)
 
 
 def is_filter(subset):
@@ -55,12 +51,8 @@ def is_filter(subset):
 
     A nonempty one is the principal filter of its meet (finite lattice).
     """
-    lat = subset.lattice
     mask = subset.member_mask
-    meet = lat.base.full_mask
-    for i in _bits(mask):
-        meet &= lat.supports[i]
-    return mask == 0 or mask == lat.up_interval(lat.index_of_support(meet))
+    return mask == 0 or mask == subset.lattice.filter_of(mask)
 
 
 def is_prime_ideal(subset):
@@ -78,12 +70,12 @@ def is_prime_filter(subset):
 
 def principal_ideal(lattice, x):
     """All members below x (inclusive)."""
-    return SubsetOfLattice(lattice, lattice.down_interval(lattice.member_index(x)))
+    return SubsetOfLattice(lattice, lattice.ideal_of(1 << lattice.member_index(x)))
 
 
 def principal_filter(lattice, x):
     """All members above x (inclusive)."""
-    return SubsetOfLattice(lattice, lattice.up_interval(lattice.member_index(x)))
+    return SubsetOfLattice(lattice, lattice.filter_of(1 << lattice.member_index(x)))
 
 
 @dataclass(frozen=True)
@@ -101,24 +93,26 @@ class PrimePairReport:
 def prime_principal_pairs(lattice):
     """Find every complementary principal ideal/filter pair.
 
-    For each member u, the members outside the interval below u form a
-    principal filter iff they are the interval above their least member,
-    which canonical order puts first; pairs come in member order of u.
+    If the intervals below u and above v partition the lattice, every
+    x > u is above v, so x >= u | v > u: u is meet-irreducible. For each
+    such u, the members outside the interval below u form a principal
+    filter iff they are the interval above their least member, which
+    canonical order puts first; pairs come in member order of u.
 
     Every complementary pair must be witnessed by a unique base element;
     a missing or broken witness raises LemmaViolationError (an
     implementation bug by construction).
     """
-    base = lattice.base
     full = lattice.full_member_mask
-    lambdas, upsilons = _witness_tables(base)
+    lambdas, upsilons = _witness_tables(lattice.base)
+    meets, _ = _irreducible_masks(lattice)
     pairs = []
     seen_witnesses = set()
-    for i in range(len(lattice)):
-        rest = full & ~lattice.down_interval(i)
-        j = (rest & -rest).bit_length() - 1
-        if rest and rest == lattice.up_interval(j):
-            u, v = lattice.member(i), lattice.member(j)
+    for i in _bits(meets):
+        rest = full & ~lattice.ideal_of(1 << i)
+        least = rest & -rest
+        if rest and rest == lattice.filter_of(least):
+            u, v = lattice.member(i), lattice.member(least.bit_length() - 1)
             p = lambdas.get(u.support)
             if p is None or upsilons.get(v.support) != p:
                 raise LemmaViolationError(
@@ -127,7 +121,7 @@ def prime_principal_pairs(lattice):
                 )
             pairs.append((u, v, p))
             seen_witnesses.add(p)
-    if len(pairs) != base.n or len(seen_witnesses) != base.n:
+    if len(pairs) != lattice.base.n or len(seen_witnesses) != lattice.base.n:
         raise LemmaViolationError(
             "principal prime pairs are not in bijection with the base",
             counterexample=pairs,

@@ -9,6 +9,7 @@ from . import dual as dual_mod
 from . import ideals as ideals_mod
 from . import seconddual as sd_mod
 from .dot import support_label
+from .poset import _bits
 
 
 def render(tree):
@@ -39,16 +40,20 @@ def _scalar(value):
     return str(value)
 
 
+def _lowest_member_label(lattice, mask):
+    return support_label(lattice.member((mask & -mask).bit_length() - 1))
+
+
 def _check_embedding_characterization(lattice):
-    # Both halves: x(p) = 0 iff x below the down-set complement of p,
-    # and x(p) = 1 iff x above the up-set indicator of p.
-    for i, p in enumerate(lattice.base.elements):
-        lam = dual_mod.lambda_of(lattice, p).support
-        ups = dual_mod.upsilon_of(lattice, p).support
-        for k, x in enumerate(lattice.supports):
-            value = x >> i & 1
-            if (value == 0) != (x & ~lam == 0) or (value == 1) != (ups & ~x == 0):
-                return False, f"x={support_label(lattice.member(k))} p={p}"
+    # Per element p, the members x where x(p) = 0 and x <= lambda_p
+    # disagree, or x(p) = 1 and x >= upsilon_p do.
+    full = lattice.full_member_mask
+    for p, column in zip(lattice.base.elements, lattice.columns):
+        ideal = ideals_mod.principal_ideal(lattice, dual_mod.lambda_of(lattice, p))
+        filt = ideals_mod.principal_filter(lattice, dual_mod.upsilon_of(lattice, p))
+        wrong = (full & ~column ^ ideal.member_mask) | (column ^ filt.member_mask)
+        if wrong:
+            return False, f"x={_lowest_member_label(lattice, wrong)} p={p}"
     return True, None
 
 
@@ -97,11 +102,14 @@ def _check_prime_pairs(lattice, pair_report):
 
 
 def _check_upset_closure(lattice):
-    base = lattice.base
-    for x in lattice.members:
-        for i in range(base.n):
-            if x.support >> i & 1 and base.up_masks[i] & ~x.support:
-                return False, f"member={support_label(x)}"
+    # The members holding some element i but not some j above it.
+    columns = lattice.columns
+    wrong = 0
+    for column, up in zip(columns, lattice.base.up_masks):
+        for j in _bits(up):
+            wrong |= column & ~columns[j]
+    if wrong:
+        return False, f"member={_lowest_member_label(lattice, wrong)}"
     return True, None
 
 

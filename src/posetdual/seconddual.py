@@ -169,18 +169,12 @@ def enumerate_second_dual_bruteforce(lattice):
 def evaluation_hom(lattice, element):
     """The hom sending each member to its value at the given base element.
 
-    Its preimage of 1 is the element's column; its kernel top, the union
-    of the supports on the zero side, holds exactly the base elements
-    whose columns meet that zero side. O(n) big-int operations on the
-    lattice's cached columns.
+    Its preimage of 1 is the element's column; its kernel top, the join of
+    the zero side, is the last member of the ideal below that join in
+    canonical order. O(n) big-int operations on the member columns.
     """
-    columns = lattice.columns
-    zeros = lattice.full_member_mask & ~columns[lattice.base.index(element)]
-    union = 0
-    for q, column in enumerate(columns):
-        if column & zeros:
-            union |= 1 << q
-    kernel_top = lattice.member(lattice.index_of_support(union))
+    zeros = lattice.full_member_mask & ~lattice.columns[lattice.base.index(element)]
+    kernel_top = lattice.member(lattice.ideal_of(zeros).bit_length() - 1)
     return BoundedHom(lattice, kernel_top)
 
 

@@ -23,6 +23,7 @@ from .errors import (
 from .poset import DEFAULT_MAX_ELEMENTS, poset_from_relations
 
 _IDENT = re.compile(r"[A-Za-z0-9_]+$")
+_TOKEN = re.compile(r"\S+")
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,14 @@ def _significant_lines(text):
             yield lineno, line
 
 
+def _identifier(token, lineno):
+    ident = token.group()
+    if not _IDENT.match(ident):
+        column = token.start() + 1
+        raise ParseError(f"bad identifier {ident!r}", line=lineno, column=column)
+    return ident
+
+
 def parse_poset(text):
     """Parse the text format into a document, with positioned errors."""
     lines = list(_significant_lines(text))
@@ -67,13 +76,8 @@ def parse_poset(text):
         raise ParseError("expected 'elements:' line", line=lineno)
     elements = []
     seen = set()
-    for ident in line[len("elements:"):].split():
-        if not _IDENT.match(ident):
-            raise ParseError(
-                f"bad identifier {ident!r}",
-                line=lineno,
-                column=line.index(ident) + 1,
-            )
+    for token in _TOKEN.finditer(line, len("elements:")):
+        ident = _identifier(token, lineno)
         if ident in seen:
             raise DuplicateElementError(
                 f"line {lineno}: duplicate element: {ident!r}"
@@ -91,22 +95,16 @@ def parse_poset(text):
 
     relations = []
     for lineno, line in lines[pos:]:
-        parts = line.split()
-        if len(parts) != 3 or parts[1] != "<":
+        tokens = list(_TOKEN.finditer(line))
+        if len(tokens) != 3 or tokens[1].group() != "<":
             raise ParseError("expected '<id> < <id>'", line=lineno)
-        lower, _, upper = parts
-        for ident in (lower, upper):
-            if not _IDENT.match(ident):
-                raise ParseError(
-                    f"bad identifier {ident!r}",
-                    line=lineno,
-                    column=line.index(ident) + 1,
-                )
+        for token in tokens[::2]:
+            ident = _identifier(token, lineno)
             if ident not in seen:
                 raise UnknownElementError(
                     f"line {lineno}: unknown element: {ident!r}"
                 )
-        relations.append((lower, upper))
+        relations.append((tokens[0].group(), tokens[2].group()))
 
     return PosetDocument(name, tuple(elements), tuple(relations))
 

@@ -14,6 +14,8 @@ from posetdual import (
     random_poset,
     transitive_reduction,
 )
+from posetdual.dot import support_label
+from posetdual.dual import _maximal_outside, lambda_of, upsilon_of
 from posetdual.poset import _bits
 from posetdual.seconddual import _down_rows, _ones_mask_checker
 
@@ -61,6 +63,57 @@ def intervals_scan(lattice):
                 up[j] |= 1 << i
         down.append(d)
     return down, up
+
+
+def irreducible_masks_scan(lattice):
+    """(meet, join): member-index masks of the members with exactly one
+    upper or lower cover, counting each member's covers from its support."""
+    base = lattice.base
+    meets = joins = 0
+    for i, s in enumerate(lattice.supports):
+        if len(_maximal_outside(base.up_masks, s)) == 1:
+            meets |= 1 << i
+        if len(_maximal_outside(base.down_masks, base.full_mask & ~s)) == 1:
+            joins |= 1 << i
+    return meets, joins
+
+
+def complementary_pairs_scan(lattice):
+    """Member-index pairs (i, j) whose intervals below i and above j
+    partition the lattice, trying every member i as the ideal's top."""
+    full = lattice.full_member_mask
+    pairs = []
+    for i in range(len(lattice)):
+        rest = full & ~lattice.ideal_of(1 << i)
+        j = (rest & -rest).bit_length() - 1
+        if rest and rest == lattice.filter_of(1 << j):
+            pairs.append((i, j))
+    return pairs
+
+
+def upset_closure_scan(lattice):
+    """(ok, payload) of the dual_lattice_closure check, member by member:
+    the first member holding an element but not everything above it."""
+    base = lattice.base
+    for x in lattice.members:
+        for i in range(base.n):
+            if x.support >> i & 1 and base.up_masks[i] & ~x.support:
+                return False, f"member={support_label(x)}"
+    return True, None
+
+
+def embedding_characterization_scan(lattice):
+    """(ok, payload) of the embedding_characterization check, element by
+    element and member by member, comparing supports: x(p) = 0 iff x is
+    below lambda_p, and x(p) = 1 iff x is above upsilon_p."""
+    for i, p in enumerate(lattice.base.elements):
+        lam = lambda_of(lattice, p).support
+        ups = upsilon_of(lattice, p).support
+        for k, x in enumerate(lattice.supports):
+            value = x >> i & 1
+            if (value == 0) != (x & ~lam == 0) or (value == 1) != (ups & ~x == 0):
+                return False, f"x={support_label(lattice.member(k))} p={p}"
+    return True, None
 
 
 def homs_by_all_maps(lattice):

@@ -14,7 +14,6 @@ from posetdual import (
     canonical_text,
     document_from_poset,
     enumerate_dual,
-    evaluate,
     inf_of,
     irreducibles,
     is_bounded_complete_hom,
@@ -92,9 +91,9 @@ def test_criterion_3_membership_biconditionals(suite):
         for e in p.elements:
             lam, ups = lambda_of(lattice, e), upsilon_of(lattice, e)
             for x in lattice.members:
-                if (evaluate(x, e) == 0) != pointwise_leq(x, lam):
+                if (x.evaluate(e) == 0) != pointwise_leq(x, lam):
                     ok = False
-                if (evaluate(x, e) == 1) != pointwise_leq(ups, x):
+                if (x.evaluate(e) == 1) != pointwise_leq(ups, x):
                     ok = False
     _report(3, "membership biconditionals for all (x, p)", ok)
 

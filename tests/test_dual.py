@@ -8,7 +8,6 @@ from posetdual import (
     TooLargeError,
     UnknownElementError,
     enumerate_dual,
-    evaluate,
     greatest_below,
     inf_of,
     irreducibles,
@@ -211,13 +210,13 @@ def test_one_object_per_member_however_reached():
 
 
 def test_evaluate():
-    assert evaluate(CHAIN2.bottom, "a") == 0
-    assert evaluate(CHAIN2.top, "a") == 1
+    assert CHAIN2.bottom.evaluate("a") == 0
+    assert CHAIN2.top.evaluate("a") == 1
     mid = member(CHAIN2, "b")
-    assert evaluate(mid, "a") == 0
-    assert evaluate(mid, "b") == 1
+    assert mid.evaluate("a") == 0
+    assert mid.evaluate("b") == 1
     with pytest.raises(UnknownElementError):
-        evaluate(mid, "zzz")
+        mid.evaluate("zzz")
 
 
 def test_pointwise_leq():
@@ -286,8 +285,8 @@ def test_membership_characterization():
         for e in p.elements:
             lam, ups = lambda_of(lattice, e), upsilon_of(lattice, e)
             for x in lattice.members:
-                assert (evaluate(x, e) == 0) == pointwise_leq(x, lam)
-                assert (evaluate(x, e) == 1) == pointwise_leq(ups, x)
+                assert (x.evaluate(e) == 0) == pointwise_leq(x, lam)
+                assert (x.evaluate(e) == 1) == pointwise_leq(ups, x)
 
 
 def test_embeddings_reverse_and_preserve_order():

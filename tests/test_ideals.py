@@ -4,7 +4,6 @@ from posetdual import (
     LemmaViolationError,
     SubsetOfLattice,
     enumerate_dual,
-    evaluate,
     is_filter,
     is_ideal,
     is_prime_filter,
@@ -131,8 +130,8 @@ def test_embedded_pair_disagrees_at_witness():
     for p in random_suite(count=40):
         lattice = enumerate_dual(p)
         for e in p.elements:
-            assert evaluate(lambda_of(lattice, e), e) == 0
-            assert evaluate(upsilon_of(lattice, e), e) == 1
+            assert lambda_of(lattice, e).evaluate(e) == 0
+            assert upsilon_of(lattice, e).evaluate(e) == 1
 
 
 def test_subset_membership_and_labels():

@@ -7,7 +7,6 @@ from posetdual import (
     build_poset,
     canonical_text,
     document_from_poset,
-    emit_dot,
     emit_lattice_dot,
     emit_poset_dot,
     enumerate_dual,
@@ -58,6 +57,14 @@ def test_parse_errors_have_positions():
     with pytest.raises(ParseError) as exc:
         parse_poset("poset P\nelements: a\nrelations:\na << a\n")
     assert exc.value.line == 4
+    # Columns point at the bad token itself, not at an earlier
+    # occurrence of its text on the line.
+    with pytest.raises(ParseError) as exc:
+        parse_poset("poset P\nelements: a s:\nrelations:\n")
+    assert (exc.value.line, exc.value.column) == (2, 13)
+    with pytest.raises(ParseError) as exc:
+        parse_poset("poset P\nelements: a\nrelations:\na < <\n")
+    assert (exc.value.line, exc.value.column) == (4, 5)
 
 
 def test_comments_and_blank_lines_ignored():
@@ -92,7 +99,6 @@ def test_dot_chain():
     text = emit_poset_dot(p, "P")
     assert '"a" -> "b";' in text
     assert text.startswith("digraph P {")
-    assert emit_dot(p, "P") == text
 
 
 def test_dot_square_lattice():
