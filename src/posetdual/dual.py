@@ -5,13 +5,16 @@ preimage of 1), which monotonicity forces to be an up-set of the base
 poset. Lattice joins and meets are then bitwise or/and of supports.
 """
 
+import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import BaseMismatchError, LemmaViolationError, TooLargeError
-from .poset import _bits
+from .poset import DEFAULT_MAX_ELEMENTS, _bits
 
 DEFAULT_MAX_MEMBERS = 1 << 22
-_TRANSPOSE_BLOCK = 4096  # members per block of the column transpose
+# _BITS[b] maps a byte to ASCII "1" or "0" by its bit b.
+_BITS = tuple((b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8))
 
 
 @dataclass(frozen=True)
@@ -36,24 +39,34 @@ class DualLattice:
     """All monotone maps base -> {0, 1} under the pointwise order.
 
     Members are kept in a canonical order: by support popcount, then by
-    numeric support value. `supports` holds every member's support as an
-    int in that order, and is what the lattice operations read. The
+    numeric support value (enumerate_dual walks in numeric order, so the
+    sort is O(m)). `supports` holds every member's support as an int in
+    that order, and is what the lattice operations read. The
     MonotoneMap objects are made on demand, when first reached through
     `members`, `member(i)`, `bottom`/`top` or a function such as
     lambda_of; each member has exactly one object however it is reached.
+    The support -> index map is likewise built on the first lookup.
     `columns[p]` is the member-index mask of the members whose support
     holds base element p, i.e. the preimage of 1 under evaluation at p;
     evaluation homs and the principal ideal and filter of a set of
     members, `ideal_of(mask)` and `filter_of(mask)`, are read from it in
-    O(n) big-int operations. Immutable after construction.
+    O(n) big-int operations. It is transposed from 64-bit rows, so the
+    base has at most DEFAULT_MAX_ELEMENTS (64) elements (else
+    TooLargeError), and supports must lie in it (else BaseMismatchError).
+    Immutable after construction.
     """
 
     def __init__(self, base, support_masks):
+        if base.n > DEFAULT_MAX_ELEMENTS:
+            raise TooLargeError(
+                f"dual lattice over {base.n} elements, cap is {DEFAULT_MAX_ELEMENTS}"
+            )
         self.base = base
         supports = sorted(support_masks)
+        if supports and (supports[0] < 0 or supports[-1] > base.full_mask):
+            raise BaseMismatchError("support has elements outside the base")
         supports.sort(key=int.bit_count)
         self.supports = tuple(supports)
-        self._member_index = dict(zip(self.supports, range(len(supports))))
         # Member objects made so far; replaced by `members` once all are.
         self._made = [None] * len(supports)
         self._members = None
@@ -93,21 +106,20 @@ class DualLattice:
     def columns(self):
         """columns[p]: member-index mask of the supports holding element p."""
         if self._columns is None:
-            # A transpose, one block of members at a time so that the text
-            # stays small: every support of a block as an n-digit binary
-            # row, last member first, so column p of the block read top to
-            # bottom is a mask whose bit i is the value at p of the block's
-            # member i.
-            n = self.base.n
-            spec = f"0{n}b"
-            columns = [0] * n
-            for start in range(0, len(self.supports), _TRANSPOSE_BLOCK):
-                block = self.supports[start : start + _TRANSPOSE_BLOCK]
-                text = "".join([format(s, spec) for s in reversed(block)])
-                for p in range(n):
-                    columns[p] |= int(text[n - 1 - p :: n], 2) << start
-            self._columns = tuple(columns)
+            # Byte p // 8 of each little-endian 64-bit row, last member
+            # first, spelled "1"/"0" by bit p % 8, is column p in binary.
+            raw = struct.pack(f"<{len(self.supports)}Q", *self.supports)
+            last = len(raw) - 8
+            self._columns = tuple(
+                int(raw[last + p // 8 :: -8].translate(_BITS[p % 8]) or b"0", 2)
+                for p in range(self.base.n)
+            )
         return self._columns
+
+    @cached_property
+    def _member_index(self):
+        """{support: canonical index}, built on the first lookup."""
+        return dict(zip(self.supports, range(len(self.supports))))
 
     def member_index(self, x):
         self.check_member(x)
@@ -140,13 +152,14 @@ class DualLattice:
 
 
 def _iter_upset_masks(poset):
-    # Split on the lowest undecided element p: either p is in the up-set,
-    # and then so is everything above it, or it is out, and then so is
-    # everything below it. The included part stays an up-set and the
-    # excluded part a down-set, so neither branch can contradict the
-    # other's decisions: every node of the search has a leaf below it,
-    # and m up-sets cost 2m - 1 nodes. The include branch is followed
-    # at once and the exclude branch kept on an explicit stack.
+    # Split on the highest undecided element p: either p is in the
+    # up-set, and then so is everything above it, or it is out, and then
+    # so is everything below it. The included part stays an up-set and
+    # the excluded part a down-set, so (for any undecided p) neither
+    # branch can contradict the other's decisions: every node of the
+    # search has a leaf below it, and m up-sets cost 2m - 1 nodes. The
+    # branches differ first at bit p, so taking the exclude branch at once
+    # and stacking the include branch yields increasing numeric order.
     up, down, full = poset.up_masks, poset.down_masks, poset.full_mask
     stack = [0, 0]
     pop, push = stack.pop, stack.append
@@ -155,10 +168,10 @@ def _iter_upset_masks(poset):
         included = pop()
         decided = included | excluded
         while decided != full:
-            p = (~decided & (decided + 1)).bit_length() - 1
-            push(included)
-            push(excluded | down[p])
-            included |= up[p]
+            p = (full & ~decided).bit_length() - 1
+            push(included | up[p])
+            push(excluded)
+            excluded |= down[p]
             decided = included | excluded
         yield included
 

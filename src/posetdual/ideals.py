@@ -26,7 +26,15 @@ class SubsetOfLattice:
         return cls(lattice, mask)
 
     def maps(self):
-        return tuple(map(self.lattice.member, _bits(self.member_mask)))
+        # Finds set bits in the binary digits, low first: _bits copies the
+        # mask per bit, which is quadratic on dense member masks.
+        digits = bin(self.member_mask)[:1:-1]
+        found = []
+        i = digits.find("1")
+        while i >= 0:
+            found.append(self.lattice.member(i))
+            i = digits.find("1", i + 1)
+        return tuple(found)
 
     def complement(self):
         return SubsetOfLattice(

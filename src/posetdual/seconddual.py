@@ -14,7 +14,7 @@ from .errors import (
     TooLargeError,
 )
 from .poset import _bits
-from .dual import lambda_of
+from .dual import _witness_tables
 
 DEFAULT_BRUTEFORCE_CAP = 20
 DEFAULT_DEFINITION_CAP = 16
@@ -179,12 +179,14 @@ def evaluation_hom(lattice, element):
 
 
 def point_of_hom(lattice, hom):
-    """Recover the base element whose evaluation hom this is."""
+    """Recover the base element whose evaluation hom this is: the p whose
+    λ_p, the member vanishing exactly on ↓p, is the kernel top."""
     if hom.lattice is not lattice:
         raise BaseMismatchError("hom over a different lattice")
-    for p in lattice.base.elements:
-        if lambda_of(lattice, p).support == hom.kernel_top.support:
-            return p
+    lambdas, _ = _witness_tables(lattice.base)
+    support = hom.kernel_top.support
+    if support in lambdas:
+        return lambdas[support]
     raise NoWitnessError(
         f"no base element matches kernel top {hom.kernel_top.support_elements()}"
     )

@@ -4,6 +4,7 @@ import pytest
 
 from posetdual import (
     BaseMismatchError,
+    DualLattice,
     LemmaViolationError,
     TooLargeError,
     UnknownElementError,
@@ -175,13 +176,48 @@ def test_walk_yields_each_upset_once():
         assert sorted(masks) == upset_masks_bruteforce(p)
 
 
+def test_walk_is_in_numeric_order():
+    for p in poset_catalog(4) + random_suite() + [grid(4, 8)]:
+        masks = list(_iter_upset_masks(p))
+        assert all(a < b for a, b in zip(masks, masks[1:]))
+
+
 def test_columns_are_member_values():
-    # The last two lattices (7920 and 8192 members) take more than one
-    # block of the column transpose.
+    # The last two lattices have 7920 and 8192 members.
     antichain13 = poset_from_relations([f"e{i}" for i in range(13)], [])
     for p in random_suite(count=40) + [random_poset(16, 14, 0.1), antichain13]:
         lattice = enumerate_dual(p)
         assert lattice.columns == evaluation_columns_scan(lattice)
+
+
+def chain(n, max_elements=64):
+    names = [f"c{i}" for i in range(n)]
+    return poset_from_relations(names, zip(names, names[1:]), max_elements)
+
+
+def test_columns_at_row_byte_edges():
+    # Element 63 is the last bit of a 64-bit row; an 8-element base fills
+    # exactly one byte of it.
+    for p in (chain(64), antichain(8), fence(8)):
+        lattice = enumerate_dual(p)
+        assert lattice.columns == evaluation_columns_scan(lattice)
+
+
+def test_base_over_64_elements_refused():
+    p = chain(65, max_elements=65)
+    message = "^dual lattice over 65 elements, cap is 64$"
+    with pytest.raises(TooLargeError, match=message):
+        DualLattice(p, [0])
+    with pytest.raises(TooLargeError):
+        enumerate_dual(p)
+
+
+def test_supports_outside_base_refused():
+    p = antichain(2)
+    for masks in ([0, 1, 2, 3, 4], [-1, 0, 1, 2, 3]):
+        with pytest.raises(BaseMismatchError):
+            DualLattice(p, masks)
+    assert DualLattice(p, [3, 2, 1, 0]).supports == (0, 1, 2, 3)
 
 
 def test_one_object_per_member_however_reached():

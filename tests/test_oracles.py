@@ -35,6 +35,7 @@ from posetdual import (
     upsilon_of,
 )
 from posetdual import dual as dual_mod
+from posetdual.poset import _bits
 from posetdual.report import (
     _check_embedding_characterization,
     _check_upset_closure,
@@ -58,7 +59,7 @@ from conftest import (
 
 SUBSET_CAP = 10
 ALL_MAPS_CAP = 16
-# 2^13 members: two blocks of the column transpose.
+# 2^13 members, each row two bytes wide.
 WIDE = 13
 
 
@@ -142,6 +143,17 @@ def test_prime_pairs_on_wide_lattice(wide_antichain):
     ]
     expected.sort(key=lambda pair: lattice.member_index(pair[0]))
     assert list(prime_principal_pairs(lattice).pairs) == expected
+
+
+def test_subset_maps_match_bits_listing(wide_antichain):
+    lattice = wide_antichain
+    full = lattice.full_member_mask
+    rng = random.Random(8)
+    masks = [0, 1, full, full & ~1, full >> 1, 1 << (len(lattice) - 1)]
+    masks += [rng.getrandbits(len(lattice)) for _ in range(4)]
+    for mask in masks:
+        expected = tuple(map(lattice.member, _bits(mask)))
+        assert SubsetOfLattice(lattice, mask).maps() == expected
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,8 @@ from itertools import product
 import pytest
 
 from posetdual import (
+    BoundedHom,
+    NoWitnessError,
     TooLargeError,
     enumerate_dual,
     enumerate_second_dual_bruteforce,
@@ -14,6 +16,7 @@ from posetdual import (
     poset_from_relations,
     principal_filter,
     principal_ideal,
+    random_poset,
     satisfies_hom_definition,
     support_label,
     verify_isomorphism,
@@ -100,6 +103,21 @@ def test_evaluation_hom_values_are_evaluation():
 def test_point_of_hom_round_trip():
     assert point_of_hom(CHAIN2, evaluation_hom(CHAIN2, "a")) == "a"
     assert point_of_hom(CHAIN2, evaluation_hom(CHAIN2, "b")) == "b"
+
+
+def test_point_of_hom_without_witness():
+    for lattice in (CHAIN2, ANTI2):
+        with pytest.raises(NoWitnessError):
+            point_of_hom(lattice, BoundedHom(lattice, lattice.top))
+
+
+def test_verify_builds_no_support_index():
+    # The round trip reads the witness tables, not the support -> index map.
+    lattice = enumerate_dual(random_poset(12, 4, 0.2))
+    assert verify_isomorphism(lattice).ok
+    assert "_member_index" not in vars(lattice)
+    lattice.index_of_support(0)
+    assert "_member_index" in vars(lattice)
 
 
 def test_kernel_preimages_are_principal_and_complementary():
