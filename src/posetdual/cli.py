@@ -22,7 +22,13 @@ from .errors import (
 )
 from .poset import random_poset
 from .report import build_verification_report, render
-from .textio import build_poset, canonical_text, document_from_poset, parse_poset
+from .textio import (
+    _IDENT,
+    build_poset,
+    canonical_text,
+    document_from_poset,
+    parse_poset,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -42,6 +48,12 @@ def probability(text):
     if not 0.0 <= p <= 1.0:
         raise argparse.ArgumentTypeError(f"density must be in [0, 1], got {text}")
     return p
+
+
+def poset_name(text):
+    if not _IDENT.match(text):
+        raise argparse.ArgumentTypeError(f"name must match [A-Za-z0-9_]+, got {text!r}")
+    return text
 
 
 @functools.cache
@@ -93,7 +105,7 @@ def _build_parser():
     p = sub.add_parser("random", help="emit a random poset file")
     p.add_argument("n", type=element_count, help="number of elements")
     p.add_argument("--density", type=probability, default=0.5)
-    p.add_argument("--name", default="random")
+    p.add_argument("--name", type=poset_name, default="random")
     p.add_argument("--out", metavar="PATH", help="write here instead of stdout")
     p.add_argument("--seed", type=int, default=0, help="random seed")
 

@@ -4,8 +4,13 @@ Plain digraphs only: quoted node ids, optional label attributes, and
 lower -> upper cover edges.
 """
 
+import re
+
 from .dual import _maximal_outside, _witness_tables
 from .poset import transitive_reduction
+
+_DOT_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
 
 
 def support_label(x):
@@ -13,9 +18,17 @@ def support_label(x):
     return "{" + ",".join(x.support_elements()) + "}"
 
 
+def _graph_id(name):
+    # A bare DOT ID may not start with a digit or be a keyword (keywords
+    # are case-independent); anything else is written quoted.
+    if _DOT_ID.match(name) and name.lower() not in _DOT_KEYWORDS:
+        return name
+    return f'"{name}"'
+
+
 def emit_poset_dot(poset, name="P"):
     covers = transitive_reduction(poset)
-    lines = [f"digraph {name} {{"]
+    lines = [f"digraph {_graph_id(name)} {{"]
     for e in poset.elements:
         lines.append(f'  "{e}";')
     for lower, upper in covers.pairs:
@@ -40,7 +53,7 @@ def emit_lattice_dot(lattice, name="L", label_embeddings=False):
         for support, p in upsilons.items():
             annotations.setdefault(support, []).append(f"υ:{p}")
 
-    lines = [f"digraph {name} {{"]
+    lines = [f"digraph {_graph_id(name)} {{"]
     for i, x in enumerate(lattice.members):
         label = support_label(x)
         notes = annotations.get(x.support)

@@ -1,4 +1,4 @@
-"""Finite posets as bitmask up-sets, plus construction and test utilities.
+"""Finite posets as bitmask up-sets, and their construction.
 
 Elements are indexed 0..n-1 in list order; the order relation is stored as
 one "up-mask" per element (the bitmask of everything greater or equal), so
@@ -172,63 +172,7 @@ def is_monotone(poset, f):
     return True
 
 
-def _signature(poset, i):
-    return (
-        bin(poset.up_masks[i]).count("1"),
-        bin(poset.down_masks[i]).count("1"),
-    )
-
-
-def find_isomorphism(p, q):
-    """Order isomorphism p -> q as an element dict, or None.
-
-    Backtracking over assignments, pruned by (up-set size, down-set size)
-    signatures; exact, intended for small posets.
-    """
-    if p.n != q.n:
-        return None
-    sig_p = [_signature(p, i) for i in range(p.n)]
-    sig_q = [_signature(q, i) for i in range(q.n)]
-    if sorted(sig_p) != sorted(sig_q):
-        return None
-
-    # Assign the most constrained (rarest signature) elements first.
-    order = sorted(range(p.n), key=lambda i: (sig_p[i], i))
-    assign = [None] * p.n
-    used = [False] * q.n
-
-    def extend(k):
-        if k == p.n:
-            return True
-        i = order[k]
-        for j in range(q.n):
-            if used[j] or sig_p[i] != sig_q[j]:
-                continue
-            ok = True
-            for k2 in range(k):
-                i2 = order[k2]
-                j2 = assign[i2]
-                if (
-                    p.leq_index(i, i2) != q.leq_index(j, j2)
-                    or p.leq_index(i2, i) != q.leq_index(j2, j)
-                ):
-                    ok = False
-                    break
-            if ok:
-                assign[i] = j
-                used[j] = True
-                if extend(k + 1):
-                    return True
-                assign[i] = None
-                used[j] = False
-        return False
-
-    if not extend(0):
-        return None
-    return {p.elements[i]: q.elements[assign[i]] for i in range(p.n)}
-
-
-def random_poset(n, seed, density, max_elements=DEFAULT_MAX_ELEMENTS):
+def random_poset(n, seed, density):
     """Reproducible random poset on elements e0..e{n-1}.
 
     Samples each strict upper-triangular pair (in index order) with the
@@ -241,4 +185,4 @@ def random_poset(n, seed, density, max_elements=DEFAULT_MAX_ELEMENTS):
         for j in range(i + 1, n):
             if rng.random() < density:
                 pairs.append((elements[i], elements[j]))
-    return poset_from_relations(elements, pairs, max_elements=max_elements)
+    return poset_from_relations(elements, pairs)

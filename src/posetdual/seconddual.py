@@ -17,7 +17,6 @@ from .poset import _bits
 from .dual import _witness_tables
 
 DEFAULT_BRUTEFORCE_CAP = 20
-DEFAULT_DEFINITION_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,9 @@ def _ones_mask_checker(lattice, down):
     # Pairwise form of the hom conditions on the map whose preimage of 1
     # is the given member-index mask: bounds, zero side downward closed
     # and join closed, one side meet closed (upward closure follows).
-    # Lookups are read once per lattice; down is _down_rows(lattice).
+    # Every sup and inf in a finite lattice is an iterated pairwise one,
+    # so this equals preserving arbitrary sups and infs. Lookups are read
+    # once per lattice; down is _down_rows(lattice).
     top_bit = 1 << (len(lattice) - 1)
     full = lattice.full_member_mask
     supports = lattice.supports
@@ -90,65 +91,17 @@ def _ones_mask_checker(lattice, down):
     return ok
 
 
-def is_bounded_complete_hom(lattice, values):
-    """Check a candidate map (values per member, canonical order).
-
-    Bounds, a zero side downward closed and closed under pairwise joins,
-    and a one side closed under pairwise meets. Every sup and inf in a
-    finite lattice is an iterated pairwise one, so this equals preserving
-    arbitrary sups and infs (satisfies_hom_definition is the definitional
-    oracle). O(m^2) per call.
-    """
-    ones_mask = 0
-    for i, v in enumerate(values):
-        if v:
-            ones_mask |= 1 << i
-    return _ones_mask_checker(lattice, _down_rows(lattice))(ones_mask)
-
-
-def satisfies_hom_definition(lattice, values, max_members=DEFAULT_DEFINITION_CAP):
-    """Definitional hom check: every subset's sup and inf are preserved.
-
-    Exponential in the member count; this is the oracle the faster
-    pairwise check is validated against.
-    """
-    m = len(lattice)
-    if m > max_members:
-        raise TooLargeError(
-            f"definitional hom check over {m} members exceeds cap {max_members}"
-        )
-    supports = lattice.supports
-    index_of = lattice._member_index
-    if values[0] != 0 or values[m - 1] != 1:
-        return False
-    for subset in range(1 << m):
-        union = 0
-        inter = lattice.base.full_mask
-        vmax = 0
-        vmin = 1
-        for i in _bits(subset):
-            union |= supports[i]
-            inter &= supports[i]
-            vmax = max(vmax, values[i])
-            vmin = min(vmin, values[i])
-        if values[index_of[union]] != vmax:
-            return False
-        if values[index_of[inter]] != vmin:
-            return False
-    return True
-
-
 def enumerate_second_dual_bruteforce(lattice):
     """All valid homs, in canonical order of kernel top.
 
     A valid hom's zero side is nonempty, downward closed and join closed,
     so in a finite lattice it is the principal ideal of its join k. The
     only candidates are thus the m maps that are 0 exactly below some
-    member k; each is checked pairwise, as in is_bounded_complete_hom,
-    and if valid is the hom with kernel top k. The order comes from
-    comparing supports, not from the member columns or the base poset,
-    so this stays independent of evaluation_hom: it is the oracle side
-    of the isomorphism check.
+    member k; each is checked with the pairwise hom conditions, and if
+    valid is the hom with kernel top k. The order comes from comparing
+    supports, not from the member columns or the base poset, so this
+    stays independent of evaluation_hom: it is the oracle side of the
+    isomorphism check.
     """
     m = len(lattice)
     if m > DEFAULT_BRUTEFORCE_CAP:

@@ -20,9 +20,9 @@ from .errors import (
     ParseError,
     UnknownElementError,
 )
-from .poset import DEFAULT_MAX_ELEMENTS, poset_from_relations
+from .poset import poset_from_relations
 
-_IDENT = re.compile(r"[A-Za-z0-9_]+$")
+_IDENT = re.compile(r"[A-Za-z0-9_]+\Z")
 _TOKEN = re.compile(r"\S+")
 
 
@@ -120,9 +120,9 @@ def canonical_text(doc):
     return "\n".join(out) + "\n"
 
 
-def build_poset(doc, max_elements=DEFAULT_MAX_ELEMENTS):
+def build_poset(doc):
     """Construct the poset a document describes (closure of its pairs)."""
-    return poset_from_relations(doc.elements, doc.relations, max_elements=max_elements)
+    return poset_from_relations(doc.elements, doc.relations)
 
 
 def document_from_poset(poset, name):

@@ -9,7 +9,6 @@ from itertools import combinations, product
 
 from posetdual import (
     BoundedHom,
-    find_isomorphism,
     poset_from_relations,
     random_poset,
     transitive_reduction,
@@ -118,7 +117,7 @@ def embedding_characterization_scan(lattice):
 
 def homs_by_all_maps(lattice):
     """Every valid hom to {0, 1}, by running the library's pairwise hom
-    check (itself checked against satisfies_hom_definition) on every map
+    check (itself checked against the all-subsets definition) on every map
     that sends the bottom to 0: the even ones-masks, 2^(m-1) of them. Each
     kernel top is the union of the zero side's supports. Sorted by kernel
     top in canonical member order."""
@@ -134,6 +133,31 @@ def homs_by_all_maps(lattice):
             homs.append(BoundedHom(lattice, kernel_top))
     homs.sort(key=lambda h: lattice.member_index(h.kernel_top))
     return homs
+
+
+def satisfies_hom_definition(lattice, values):
+    """Definitional hom check on a map given as one value per member in
+    canonical order: the bounds, and every subset's sup and inf, are
+    preserved. Exponential in the member count."""
+    m = len(lattice)
+    supports = lattice.supports
+    if values[0] != 0 or values[m - 1] != 1:
+        return False
+    for subset in range(1 << m):
+        union = 0
+        inter = lattice.base.full_mask
+        vmax = 0
+        vmin = 1
+        for i in _bits(subset):
+            union |= supports[i]
+            inter &= supports[i]
+            vmax = max(vmax, values[i])
+            vmin = min(vmin, values[i])
+        if values[lattice.index_of_support(union)] != vmax:
+            return False
+        if values[lattice.index_of_support(inter)] != vmin:
+            return False
+    return True
 
 
 def least_upper_bound_scan(lattice, maps):
@@ -263,6 +287,62 @@ def all_labeled_posets(n):
         ]
         posets.append(poset_from_relations(elements, strict_pairs))
     return posets
+
+
+def _signature(poset, i):
+    return (
+        bin(poset.up_masks[i]).count("1"),
+        bin(poset.down_masks[i]).count("1"),
+    )
+
+
+def find_isomorphism(p, q):
+    """Order isomorphism p -> q as an element dict, or None.
+
+    Backtracking over assignments, pruned by (up-set size, down-set size)
+    signatures; exact, exponential in the worst case.
+    """
+    if p.n != q.n:
+        return None
+    sig_p = [_signature(p, i) for i in range(p.n)]
+    sig_q = [_signature(q, i) for i in range(q.n)]
+    if sorted(sig_p) != sorted(sig_q):
+        return None
+
+    # Assign the most constrained (rarest signature) elements first.
+    order = sorted(range(p.n), key=lambda i: (sig_p[i], i))
+    assign = [None] * p.n
+    used = [False] * q.n
+
+    def extend(k):
+        if k == p.n:
+            return True
+        i = order[k]
+        for j in range(q.n):
+            if used[j] or sig_p[i] != sig_q[j]:
+                continue
+            ok = True
+            for k2 in range(k):
+                i2 = order[k2]
+                j2 = assign[i2]
+                if (
+                    p.leq_index(i, i2) != q.leq_index(j, j2)
+                    or p.leq_index(i2, i) != q.leq_index(j2, j)
+                ):
+                    ok = False
+                    break
+            if ok:
+                assign[i] = j
+                used[j] = True
+                if extend(k + 1):
+                    return True
+                assign[i] = None
+                used[j] = False
+        return False
+
+    if not extend(0):
+        return None
+    return {p.elements[i]: q.elements[assign[i]] for i in range(p.n)}
 
 
 def poset_catalog(max_n):

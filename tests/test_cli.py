@@ -159,6 +159,24 @@ def test_random_rejects_out_of_range_arguments(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["my poset", "a#b", "caf\u00e9", "a\n"])
+def test_random_rejects_names_the_parser_rejects(name, tmp_path, capsys):
+    out_file = tmp_path / "f.poset"
+    with pytest.raises(SystemExit) as exc:
+        run(["random", "2", "--name", name, "--out", str(out_file)])
+    assert exc.value.code == 2
+    assert not out_file.exists()
+    assert "--name" in capsys.readouterr().err
+
+
+def test_random_name_round_trips(tmp_path):
+    out_file = tmp_path / "r.poset"
+    code, _, _ = run(["random", "3", "--name", "my_poset_9", "--out", str(out_file)])
+    assert code == 0
+    code, out, _ = run(["verify", str(out_file)])
+    assert code == 0 and "name: my_poset_9" in out
+
+
 @pytest.mark.parametrize("command", ["dual", "irreducibles"])
 def test_lemma_violation_exits_one(command, monkeypatch):
     def broken(lattice):

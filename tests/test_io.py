@@ -101,6 +101,14 @@ def test_dot_chain():
     assert text.startswith("digraph P {")
 
 
+@pytest.mark.parametrize("name", ["9x", "node", "Graph"])
+def test_dot_quotes_names_that_are_not_bare_ids(name):
+    # The parser accepts these names; DOT needs them quoted.
+    lattice = enumerate_dual(poset_from_relations(["a"], []))
+    assert emit_poset_dot(lattice.base, name).startswith(f'digraph "{name}" {{\n')
+    assert emit_lattice_dot(lattice, name).startswith(f'digraph "{name}" {{\n')
+
+
 def test_dot_square_lattice():
     lattice = enumerate_dual(poset_from_relations(["a", "b"], []))
     text = emit_lattice_dot(lattice, "L")

@@ -5,7 +5,6 @@ from posetdual import (
     DuplicateElementError,
     TooLargeError,
     UnknownElementError,
-    find_isomorphism,
     is_monotone,
     leq,
     poset_from_relations,
@@ -13,7 +12,7 @@ from posetdual import (
     transitive_reduction,
 )
 
-from conftest import down_mask_scan, random_suite
+from conftest import down_mask_scan, find_isomorphism, random_suite
 
 
 def chain(*names):

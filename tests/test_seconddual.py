@@ -1,5 +1,3 @@
-from itertools import product
-
 import pytest
 
 from posetdual import (
@@ -10,19 +8,18 @@ from posetdual import (
     enumerate_second_dual_bruteforce,
     evaluation_hom,
     hom_leq,
-    is_bounded_complete_hom,
     lambda_of,
     point_of_hom,
     poset_from_relations,
     principal_filter,
     principal_ideal,
     random_poset,
-    satisfies_hom_definition,
     support_label,
     verify_isomorphism,
 )
+from posetdual.seconddual import _down_rows, _ones_mask_checker
 
-from conftest import poset_catalog, random_suite
+from conftest import poset_catalog, random_suite, satisfies_hom_definition
 
 
 def make(elements, pairs):
@@ -41,34 +38,29 @@ def member(lattice, *names):
 
 
 def test_constant_zero_rejected():
-    assert not is_bounded_complete_hom(CHAIN2, [0, 0, 0])
+    ok = _ones_mask_checker(CHAIN2, _down_rows(CHAIN2))
+    assert not ok(0b000)
 
 
 def test_valid_hom_on_three_chain():
-    assert is_bounded_complete_hom(CHAIN2, [0, 0, 1])
-    assert is_bounded_complete_hom(CHAIN2, [0, 1, 1])
+    ok = _ones_mask_checker(CHAIN2, _down_rows(CHAIN2))
+    assert ok(0b100)
+    assert ok(0b110)
 
 
 def test_join_preservation_rejected_on_square():
     # sending only the top to 1 breaks h(a v b) = max(h(a), h(b))
-    values = [1 if x is ANTI2.top else 0 for x in ANTI2.members]
-    assert not is_bounded_complete_hom(ANTI2, values)
+    ok = _ones_mask_checker(ANTI2, _down_rows(ANTI2))
+    assert not ok(1 << ANTI2.member_index(ANTI2.top))
 
 
 def test_pairwise_check_matches_definitional_oracle():
     for lattice in (CHAIN2, ANTI2, make(["a", "b", "c"], [("a", "c"), ("b", "c")])):
         m = len(lattice)
-        for values in product((0, 1), repeat=m):
-            assert is_bounded_complete_hom(lattice, values) == (
-                satisfies_hom_definition(lattice, values)
-            )
-
-
-def test_definitional_oracle_cap():
-    p = poset_from_relations([f"e{i}" for i in range(5)], [])
-    lattice = enumerate_dual(p)
-    with pytest.raises(TooLargeError):
-        satisfies_hom_definition(lattice, [0] * len(lattice), max_members=8)
+        ok = _ones_mask_checker(lattice, _down_rows(lattice))
+        for ones in range(1 << m):
+            values = [ones >> i & 1 for i in range(m)]
+            assert ok(ones) == satisfies_hom_definition(lattice, values)
 
 
 def test_bruteforce_counts():
