@@ -8,9 +8,10 @@ poset. Lattice joins and meets are then bitwise or/and of supports.
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 
 from .errors import BaseMismatchError, LemmaViolationError, TooLargeError
-from .poset import DEFAULT_MAX_ELEMENTS, _bits
+from .poset import DEFAULT_MAX_ELEMENTS, _bits, _digits
 
 DEFAULT_MAX_MEMBERS = 1 << 22
 # _BITS[b] maps a byte to ASCII "1" or "0" by its bit b.
@@ -32,7 +33,12 @@ class MonotoneMap:
         return self.support >> self.base.index(element) & 1
 
     def support_elements(self):
-        return tuple(self.base.elements[i] for i in _bits(self.support))
+        return tuple(_support_elements(self.base.elements, self.support))
+
+
+def _support_elements(elements, support):
+    """The items of `elements` at the set bits of a support, in order."""
+    return compress(elements, _digits(support))
 
 
 class DualLattice:
@@ -50,9 +56,12 @@ class DualLattice:
     holds base element p, i.e. the preimage of 1 under evaluation at p;
     evaluation homs and the principal ideal and filter of a set of
     members, `ideal_of(mask)` and `filter_of(mask)`, are read from it in
-    O(n) big-int operations. It is transposed from 64-bit rows, so the
-    base has at most DEFAULT_MAX_ELEMENTS (64) elements (else
-    TooLargeError), and supports must lie in it (else BaseMismatchError).
+    O(n) big-int operations, and the Hasse covers, `cover_masks`, in
+    O(n^2). The columns, the cover masks and the base elements' witness
+    supports, `witness_tables`, are each built once, on first use. The
+    columns are transposed from 64-bit rows, so the base has at most
+    DEFAULT_MAX_ELEMENTS (64) elements (else TooLargeError), and
+    supports must lie in it (else BaseMismatchError).
     Immutable after construction.
     """
 
@@ -71,6 +80,8 @@ class DualLattice:
         self._made = [None] * len(supports)
         self._members = None
         self._columns = None
+        self._cover_masks = None
+        self._witness_tables = None
 
     def __len__(self):
         return len(self.supports)
@@ -115,6 +126,47 @@ class DualLattice:
                 for p in range(self.base.n)
             )
         return self._columns
+
+    @property
+    def cover_masks(self):
+        """(outside, inside): per base element p, the member-index masks
+        M_p = ~col[p] & AND{col[q] : q > p}, the members with p maximal
+        outside, and J_p = col[p] & ~OR{col[q] : q < p}, those with p
+        minimal inside. For an up-set U these are the p with an upper
+        cover U | {p} and a lower cover U - {p} (Birkhoff)."""
+        if self._cover_masks is None:
+            columns = self.columns
+            full = self.full_member_mask
+            base = self.base
+            outside, inside = [], []
+            for p, (column, up, down) in enumerate(
+                zip(columns, base.up_masks, base.down_masks)
+            ):
+                above, below = full, 0
+                for q in _bits(up & ~(1 << p)):
+                    above &= columns[q]
+                for q in _bits(down & ~(1 << p)):
+                    below |= columns[q]
+                outside.append(above & ~column)
+                inside.append(column & ~below)
+            self._cover_masks = tuple(outside), tuple(inside)
+        return self._cover_masks
+
+    @property
+    def witness_tables(self):
+        """({λ_p support: p}, {υ_p support: p}) over the base elements.
+
+        λ_p is supported off the down-set of p and υ_p on its up-set; both
+        maps are in element order and have one entry per element.
+        """
+        if self._witness_tables is None:
+            base = self.base
+            full = base.full_mask
+            lambdas = {
+                full & ~down: p for p, down in zip(base.elements, base.down_masks)
+            }
+            self._witness_tables = lambdas, dict(zip(base.up_masks, base.elements))
+        return self._witness_tables
 
     @cached_property
     def _member_index(self):
@@ -351,36 +403,15 @@ class IrreducibleReport:
     upsilon_witness: dict = field(hash=False)
 
 
-def _witness_tables(base):
-    """({λ_p support: p}, {υ_p support: p}) over the base elements.
-
-    λ_p is supported off the down-set of p and υ_p on its up-set; both
-    maps are in element order and have one entry per element.
-    """
-    full = base.full_mask
-    lambdas = {full & ~down: p for p, down in zip(base.elements, base.down_masks)}
-    return lambdas, dict(zip(base.up_masks, base.elements))
-
-
 def _irreducible_masks(lattice):
     """(meet, join): member-index masks of the meet- and join-irreducibles.
 
-    Member U has an upper cover U | {p} per p maximal outside it, that is
-    per M_p = ~col[p] & AND{col[q] : q > p} holding U (Birkhoff), and a
-    lower cover per J_p = col[p] & ~OR{col[q] : q < p} holding U. Members
-    in exactly one are counted bit-sliced, in O(n^2) big-int operations.
+    Member U has an upper cover per cover mask M_p holding it and a lower
+    cover per J_p holding it (`DualLattice.cover_masks`). Members in
+    exactly one are counted bit-sliced, in O(n) big-int operations.
     """
-    columns = lattice.columns
-    up, down = lattice.base.up_masks, lattice.base.down_masks
     meet_once = meet_twice = join_once = join_twice = 0
-    for p, column in enumerate(columns):
-        above, below = lattice.full_member_mask, 0
-        for q in _bits(up[p] & ~(1 << p)):
-            above &= columns[q]
-        for q in _bits(down[p] & ~(1 << p)):
-            below |= columns[q]
-        maximal_outside = above & ~column
-        minimal_inside = column & ~below
+    for maximal_outside, minimal_inside in zip(*lattice.cover_masks):
         meet_twice |= meet_once & maximal_outside
         meet_once |= maximal_outside
         join_twice |= join_once & minimal_inside
@@ -390,7 +421,10 @@ def _irreducible_masks(lattice):
 
 def _match_witnesses(lattice, found, witness, side):
     # The found irreducibles (a member-index mask) must be exactly the
-    # members whose supports the witness table names.
+    # members whose supports the witness table names. Each found support
+    # is a witness and no two are equal, so one is missing iff fewer were
+    # found; only then is the support index built, to name the first
+    # missing one (KeyError when no member has that support).
     members = tuple(map(lattice.member, _bits(found)))
     matched = {}
     for x in members:
@@ -400,13 +434,14 @@ def _match_witnesses(lattice, found, witness, side):
                 counterexample=x,
             )
         matched[x] = witness[x.support]
-    for support, p in witness.items():
-        i = lattice.index_of_support(support)
-        if not found >> i & 1:
-            raise LemmaViolationError(
-                f"embedded element {p!r} gives a reducible member",
-                counterexample=lattice.member(i),
-            )
+    if len(matched) < len(witness):
+        found_supports = {x.support for x in members}
+        for support, p in witness.items():
+            if support not in found_supports:
+                raise LemmaViolationError(
+                    f"embedded element {p!r} gives a reducible member",
+                    counterexample=lattice.member(lattice.index_of_support(support)),
+                )
     return members, matched
 
 
@@ -419,7 +454,7 @@ def irreducibles(lattice):
     Raises LemmaViolationError (an implementation bug by construction) if
     an irreducible lacks a witness or an embedded element is reducible.
     """
-    lambdas, upsilons = _witness_tables(lattice.base)
+    lambdas, upsilons = lattice.witness_tables
     meets, joins = _irreducible_masks(lattice)
     meets, lambda_witness = _match_witnesses(lattice, meets, lambdas, "meet")
     joins, upsilon_witness = _match_witnesses(lattice, joins, upsilons, "join")

@@ -5,10 +5,11 @@ all the closure checks below are mask algebra.
 """
 
 from dataclasses import dataclass
+from itertools import compress, count
 
 from .errors import LemmaViolationError
-from .poset import _bits
-from .dual import _irreducible_masks, _witness_tables
+from .poset import _bits, _digits
+from .dual import _irreducible_masks
 
 
 @dataclass(frozen=True)
@@ -26,15 +27,8 @@ class SubsetOfLattice:
         return cls(lattice, mask)
 
     def maps(self):
-        # Finds set bits in the binary digits, low first: _bits copies the
-        # mask per bit, which is quadratic on dense member masks.
-        digits = bin(self.member_mask)[:1:-1]
-        found = []
-        i = digits.find("1")
-        while i >= 0:
-            found.append(self.lattice.member(i))
-            i = digits.find("1", i + 1)
-        return tuple(found)
+        indices = compress(count(), _digits(self.member_mask))
+        return tuple(map(self.lattice.member, indices))
 
     def complement(self):
         return SubsetOfLattice(
@@ -112,7 +106,7 @@ def prime_principal_pairs(lattice):
     implementation bug by construction).
     """
     full = lattice.full_member_mask
-    lambdas, upsilons = _witness_tables(lattice.base)
+    lambdas, upsilons = lattice.witness_tables
     meets, _ = _irreducible_masks(lattice)
     pairs = []
     seen_witnesses = set()

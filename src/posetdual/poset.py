@@ -86,6 +86,19 @@ def _bits(mask):
         mask ^= low
 
 
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _digits(mask):
+    """The binary digits of a mask, lowest first, as bytes 0 and 1.
+
+    itertools.compress over them picks the items at the set bits in one
+    pass; _bits copies the mask per bit, which is quadratic on wide
+    member masks.
+    """
+    return bin(mask)[:1:-1].encode().translate(_DIGIT_BYTES)
+
+
 def _transitive_closure(up):
     n = len(up)
     changed = True

@@ -14,7 +14,6 @@ from .errors import (
     TooLargeError,
 )
 from .poset import _bits
-from .dual import _witness_tables
 
 DEFAULT_BRUTEFORCE_CAP = 20
 
@@ -136,7 +135,7 @@ def point_of_hom(lattice, hom):
     λ_p, the member vanishing exactly on ↓p, is the kernel top."""
     if hom.lattice is not lattice:
         raise BaseMismatchError("hom over a different lattice")
-    lambdas, _ = _witness_tables(lattice.base)
+    lambdas, _ = lattice.witness_tables
     support = hom.kernel_top.support
     if support in lambdas:
         return lambdas[support]

@@ -13,7 +13,7 @@ from posetdual import (
     random_poset,
     transitive_reduction,
 )
-from posetdual.dot import support_label
+from posetdual.dot import _graph_id, support_label
 from posetdual.dual import _maximal_outside, lambda_of, upsilon_of
 from posetdual.poset import _bits
 from posetdual.seconddual import _down_rows, _ones_mask_checker
@@ -208,6 +208,36 @@ def lattice_cover_edges_scan(lattice):
         f'  "{lower}" -> "{upper}";'
         for lower, upper in transitive_reduction(member_poset(lattice)).pairs
     ]
+
+
+def lattice_dot_scan(lattice, name="L", label_embeddings=False):
+    """The lattice DOT built member by member: each label from the
+    member's elements, each upper cover U | {p} for p maximal outside U
+    looked up by support (KeyError when missing), edges sorted as
+    (lower id, upper id) pairs. Names are written unescaped."""
+    base = lattice.base
+    annotations = {}
+    if label_embeddings:
+        for p, down in zip(base.elements, base.down_masks):
+            annotations.setdefault(base.full_mask & ~down, []).append(f"λ:{p}")
+        for p, up in zip(base.elements, base.up_masks):
+            annotations.setdefault(up, []).append(f"υ:{p}")
+    lines = [f"digraph {_graph_id(name)} {{"]
+    for i, x in enumerate(lattice.members):
+        label = "{" + ",".join(base.elements[k] for k in _bits(x.support)) + "}"
+        notes = annotations.get(x.support)
+        if notes:
+            label = f"{label} {','.join(notes)}"
+        lines.append(f'  "m{i}" [label="{label}"];')
+    edges = sorted(
+        (f"m{i}", f"m{lattice.index_of_support(x.support | 1 << p)}")
+        for i, x in enumerate(lattice.members)
+        for p in _maximal_outside(base.up_masks, x.support)
+    )
+    for lower, upper in edges:
+        lines.append(f'  "{lower}" -> "{upper}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def _closed_pairwise(lattice, member_mask, below, bound_scan):

@@ -8,6 +8,7 @@ from posetdual import (
     LemmaViolationError,
     TooLargeError,
     UnknownElementError,
+    emit_lattice_dot,
     enumerate_dual,
     greatest_below,
     inf_of,
@@ -392,6 +393,21 @@ def test_irreducible_counts_match_base():
         report = irreducibles(lattice)
         assert len(report.meet_irreducibles) == p.n
         assert len(report.join_irreducibles) == p.n
+
+
+def test_irreducibles_build_no_support_index():
+    # The witnesses are matched by support; only a missing one is looked up.
+    lattice = enumerate_dual(random_poset(12, 4, 0.2))
+    report = irreducibles(lattice)
+    assert len(report.meet_irreducibles) == len(report.join_irreducibles) == 12
+    assert "_member_index" not in vars(lattice)
+
+
+def test_lattice_dot_makes_no_members():
+    lattice = enumerate_dual(random_poset(12, 4, 0.2))
+    emit_lattice_dot(lattice, label_embeddings=True)
+    assert lattice._made == [None] * len(lattice)
+    assert "_member_index" not in vars(lattice)
 
 
 def test_meet_irreducible_cover_witness():

@@ -109,6 +109,18 @@ def test_dot_quotes_names_that_are_not_bare_ids(name):
     assert emit_lattice_dot(lattice, name).startswith(f'digraph "{name}" {{\n')
 
 
+def test_dot_escapes_quotes_and_backslashes():
+    # Library callers may name elements with characters the file parser
+    # rejects; every quoted DOT string escapes them.
+    p = poset_from_relations(['a"b', "c"], [('a"b', "c")])
+    text = emit_poset_dot(p, 'P"1')
+    assert text == 'digraph "P\\"1" {\n  "a\\"b";\n  "c";\n  "a\\"b" -> "c";\n}\n'
+    lattice = enumerate_dual(poset_from_relations(['a"b', "c\\"], []))
+    text = emit_lattice_dot(lattice, "L", label_embeddings=True)
+    assert '"m3" [label="{a\\"b,c\\\\}"];' in text
+    assert '"m1" [label="{a\\"b} λ:c\\\\,υ:a\\"b"];' in text
+
+
 def test_dot_square_lattice():
     lattice = enumerate_dual(poset_from_relations(["a", "b"], []))
     text = emit_lattice_dot(lattice, "L")

@@ -51,6 +51,7 @@ from conftest import (
     is_filter_pairwise,
     is_ideal_pairwise,
     lattice_cover_edges_scan,
+    lattice_dot_scan,
     least_upper_bound_scan,
     poset_catalog,
     random_suite,
@@ -232,6 +233,36 @@ def _witnesses_verdict(lattice):
     n = lattice.base.n
     ok = len(irr.meet_irreducibles) == n and len(irr.join_irreducibles) == n
     return ok, None if ok else "count mismatch"
+
+
+@pytest.fixture(scope="module")
+def shuffled_lattices():
+    rng = random.Random(5)
+    return [enumerate_dual(_shuffled_poset(rng, rng.randint(0, 9))) for _ in range(60)]
+
+
+def test_lattice_dot_matches_member_scan(fixture_lattices, shuffled_lattices):
+    for lattice in fixture_lattices + shuffled_lattices:
+        for labels in (False, True):
+            assert emit_lattice_dot(lattice, "L", labels) == lattice_dot_scan(
+                lattice, "L", labels
+            )
+
+
+def test_lattice_dot_on_corrupted_lattices_is_scan_or_error():
+    # A member family that is not the up-sets of its base gets the member
+    # scan's DOT or an error, never other edges.
+    outcomes = set()
+    for lattice in _corrupted_lattices(CORRUPTED, seed=12):
+        labels = len(lattice) % 2 == 1
+        try:
+            text = emit_lattice_dot(lattice, "L", labels)
+        except (LemmaViolationError, KeyError):
+            outcomes.add("error")
+            continue
+        assert text == lattice_dot_scan(lattice, "L", labels)
+        outcomes.add("equal")
+    assert outcomes == {"error", "equal"}
 
 
 def test_corrupted_lattices_get_the_scans_verdicts(monkeypatch):
