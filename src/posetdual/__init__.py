@@ -30,13 +30,9 @@ from .dual import (
     IrreducibleReport,
     MonotoneMap,
     enumerate_dual,
-    greatest_below,
     inf_of,
     irreducibles,
-    is_join_irreducible,
-    is_meet_irreducible,
     lambda_of,
-    least_above,
     pointwise_leq,
     sup_of,
     upsilon_of,
@@ -93,13 +89,9 @@ __all__ = [
     "IrreducibleReport",
     "MonotoneMap",
     "enumerate_dual",
-    "greatest_below",
     "inf_of",
     "irreducibles",
-    "is_join_irreducible",
-    "is_meet_irreducible",
     "lambda_of",
-    "least_above",
     "pointwise_leq",
     "sup_of",
     "upsilon_of",

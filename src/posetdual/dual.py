@@ -51,7 +51,10 @@ class DualLattice:
     MonotoneMap objects are made on demand, when first reached through
     `members`, `member(i)`, `bottom`/`top` or a function such as
     lambda_of; each member has exactly one object however it is reached.
-    The support -> index map is likewise built on the first lookup.
+    The support -> index map is likewise built on the first lookup by
+    support: from sup_of/inf_of, lambda_of/upsilon_of, check_member and
+    member_index, or the brute-force hom oracle. `verify` without that
+    oracle, `second-dual` and the DOT make none.
     `columns[p]` is the member-index mask of the members whose support
     holds base element p, i.e. the preimage of 1 under evaluation at p;
     evaluation homs and the principal ideal and filter of a set of
@@ -60,8 +63,9 @@ class DualLattice:
     O(n^2). The columns, the cover masks and the base elements' witness
     supports, `witness_tables`, are each built once, on first use. The
     columns are transposed from 64-bit rows, so the base has at most
-    DEFAULT_MAX_ELEMENTS (64) elements (else TooLargeError), and
-    supports must lie in it (else BaseMismatchError).
+    DEFAULT_MAX_ELEMENTS (64) elements (else TooLargeError), and there
+    must be at least one support, each lying in it (else
+    BaseMismatchError): every up-set lattice holds the empty set.
     Immutable after construction.
     """
 
@@ -72,7 +76,9 @@ class DualLattice:
             )
         self.base = base
         supports = sorted(support_masks)
-        if supports and (supports[0] < 0 or supports[-1] > base.full_mask):
+        if not supports:
+            raise BaseMismatchError("no supports: every up-set lattice has one")
+        if supports[0] < 0 or supports[-1] > base.full_mask:
             raise BaseMismatchError("support has elements outside the base")
         supports.sort(key=int.bit_count)
         self.supports = tuple(supports)
@@ -348,47 +354,6 @@ def upsilon_of(lattice, element):
     return lattice.member(lattice.index_of_support(lattice.base.up_mask(element)))
 
 
-def _maximal_outside(up_masks, upset):
-    """Elements maximal outside an up-set U of the order given by up_masks.
-
-    The upper covers of U in the up-set lattice are U | {p} for exactly
-    these p (Birkhoff). With the opposite order's masks and the complement
-    of U they are the minimal p in U, and U - {p} are the lower covers.
-    """
-    return [p for p, up in enumerate(up_masks) if up & ~upset == 1 << p]
-
-
-def least_above(lattice, x):
-    """Inf of all members strictly above x (the top itself when x is top).
-
-    That is x's upper cover when it has exactly one, else x itself. O(n).
-    """
-    lattice.check_member(x)
-    covers = _maximal_outside(lattice.base.up_masks, x.support)
-    support = x.support | 1 << covers[0] if len(covers) == 1 else x.support
-    return lattice.member(lattice.index_of_support(support))
-
-
-def greatest_below(lattice, x):
-    """Sup of all members strictly below x (the bottom when x is bottom).
-
-    That is x's lower cover when it has exactly one, else x itself. O(n).
-    """
-    lattice.check_member(x)
-    outside = lattice.base.full_mask & ~x.support
-    covers = _maximal_outside(lattice.base.down_masks, outside)
-    support = x.support & ~(1 << covers[0]) if len(covers) == 1 else x.support
-    return lattice.member(lattice.index_of_support(support))
-
-
-def is_meet_irreducible(lattice, x):
-    return least_above(lattice, x).support != x.support
-
-
-def is_join_irreducible(lattice, x):
-    return greatest_below(lattice, x).support != x.support
-
-
 @dataclass(frozen=True)
 class IrreducibleReport:
     """Irreducible members with their base-element witnesses.
@@ -423,8 +388,7 @@ def _match_witnesses(lattice, found, witness, side):
     # The found irreducibles (a member-index mask) must be exactly the
     # members whose supports the witness table names. Each found support
     # is a witness and no two are equal, so one is missing iff fewer were
-    # found; only then is the support index built, to name the first
-    # missing one (KeyError when no member has that support).
+    # found; only then are the supports scanned, to name the first.
     members = tuple(map(lattice.member, _bits(found)))
     matched = {}
     for x in members:
@@ -436,12 +400,15 @@ def _match_witnesses(lattice, found, witness, side):
         matched[x] = witness[x.support]
     if len(matched) < len(witness):
         found_supports = {x.support for x in members}
-        for support, p in witness.items():
-            if support not in found_supports:
-                raise LemmaViolationError(
-                    f"embedded element {p!r} gives a reducible member",
-                    counterexample=lattice.member(lattice.index_of_support(support)),
-                )
+        support, p = next((s, p) for s, p in witness.items() if s not in found_supports)
+        if support not in lattice.supports:
+            raise LemmaViolationError(
+                f"embedded element {p!r} has no member", counterexample=support
+            )
+        raise LemmaViolationError(
+            f"embedded element {p!r} gives a reducible member",
+            counterexample=lattice.member(lattice.supports.index(support)),
+        )
     return members, matched
 
 

@@ -4,7 +4,7 @@ Reports are nested string-keyed dicts rendered as 'key: value' lines,
 keys sorted, two-space indent per level. No timestamps, no paths.
 """
 
-from .errors import LemmaViolationError
+from .errors import LemmaViolationError, TooLargeError
 from . import dual as dual_mod
 from . import ideals as ideals_mod
 from . import seconddual as sd_mod
@@ -44,50 +44,79 @@ def _lowest_member_label(lattice, mask):
     return support_label(lattice.member((mask & -mask).bit_length() - 1))
 
 
-def _check_embedding_characterization(lattice):
+def _witness_indices(lattice):
+    """({p: [index of λ_p, index of υ_p]} in element order, None), or
+    (None, payload) naming the first element with no member for λ_p (the
+    support off ↓p) or υ_p (the support ↑p).
+
+    Canonical order puts λ_p last among the members without p and υ_p
+    first among those with it. Only a family that is not the up-sets of
+    its base can hold them elsewhere, and only then are supports scanned.
+    """
+    base, supports = lattice.base, lattice.supports
+    found = {}
+    for p, column, down, up in zip(
+        base.elements, lattice.columns, base.down_masks, base.up_masks
+    ):
+        outside = lattice.full_member_mask & ~column
+        for i, support, name in (
+            (outside.bit_length() - 1, base.full_mask & ~down, "lambda"),
+            ((column & -column).bit_length() - 1, up, "upsilon"),
+        ):
+            if i < 0 or supports[i] != support:
+                if support not in supports:
+                    return None, f"p={p} no-{name}"
+                i = supports.index(support)
+            found.setdefault(p, []).append(i)
+    return found, None
+
+
+def _check_embedding_characterization(lattice, witnesses):
     # Per element p, the members x where x(p) = 0 and x <= lambda_p
     # disagree, or x(p) = 1 and x >= upsilon_p do.
     full = lattice.full_member_mask
-    for p, column in zip(lattice.base.elements, lattice.columns):
-        ideal = ideals_mod.principal_ideal(lattice, dual_mod.lambda_of(lattice, p))
-        filt = ideals_mod.principal_filter(lattice, dual_mod.upsilon_of(lattice, p))
-        wrong = (full & ~column ^ ideal.member_mask) | (column ^ filt.member_mask)
+    for (p, (lam, ups)), column in zip(witnesses.items(), lattice.columns):
+        ideal = lattice.ideal_of(1 << lam)
+        filt = lattice.filter_of(1 << ups)
+        wrong = (full & ~column ^ ideal) | (column ^ filt)
         if wrong:
             return False, f"x={_lowest_member_label(lattice, wrong)} p={p}"
     return True, None
 
 
-def _check_embedding_order(lattice):
+def _check_embedding_order(lattice, witnesses):
     # p <= q iff lambda_q <= lambda_p iff upsilon_q <= upsilon_p.
-    base = lattice.base
-    lam = [dual_mod.lambda_of(lattice, p).support for p in base.elements]
-    ups = [dual_mod.upsilon_of(lattice, p).support for p in base.elements]
-    for i, p in enumerate(base.elements):
-        for j, q in enumerate(base.elements):
-            expected = base.leq_index(i, j)
-            lam_rev = lam[j] & ~lam[i] == 0
-            ups_rev = ups[j] & ~ups[i] == 0
-            if lam_rev != expected or ups_rev != expected:
+    supports = lattice.supports
+    pairs = [(p, supports[lam], supports[ups]) for p, (lam, ups) in witnesses.items()]
+    for i, (p, lam_p, ups_p) in enumerate(pairs):
+        for j, (q, lam_q, ups_q) in enumerate(pairs):
+            expected = lattice.base.leq_index(i, j)
+            if (lam_q & ~lam_p == 0) != expected or (ups_q & ~ups_p == 0) != expected:
                 return False, f"p={p} q={q}"
     return True, None
 
 
-def _check_irreducible_covers(lattice):
+def _check_irreducible_covers(lattice, witnesses):
     # The least member strictly above an embedded element vanishes exactly
-    # on the strict down-set of that element.
-    base = lattice.base
-    for p in base.elements:
-        lam = dual_mod.lambda_of(lattice, p)
+    # on the strict down-set of that element: every member strictly above
+    # lambda_p holds p, and the first of them is lambda_p with p added.
+    base, supports = lattice.base, lattice.supports
+    for (p, (lam, _)), column in zip(witnesses.items(), lattice.columns):
+        above = lattice.filter_of(1 << lam) & ~(1 << lam)
+        least = (above & -above).bit_length() - 1
         expected = base.full_mask & ~base.strict_down_mask(p)
-        if dual_mod.least_above(lattice, lam).support != expected:
+        if not above or above & ~column or supports[least] != expected:
             return False, f"p={p}"
     return True, None
 
 
-def _check_prime_pairs(lattice, pair_report):
+def _check_prime_pairs(lattice, witnesses, pair_report):
     for u, v, p in pair_report.pairs:
-        ideal = ideals_mod.principal_ideal(lattice, u)
-        filt = ideals_mod.principal_filter(lattice, v)
+        i, j = witnesses[p]
+        if lattice.member(i) is not u or lattice.member(j) is not v:
+            return False, f"p={p} not-witnesses"
+        ideal = ideals_mod.SubsetOfLattice(lattice, lattice.ideal_of(1 << i))
+        filt = ideals_mod.SubsetOfLattice(lattice, lattice.filter_of(1 << j))
         if not ideals_mod.is_prime_ideal(ideal):
             return False, f"p={p} ideal-not-prime"
         # A filter complementary to the ideal needs no primeness check of
@@ -102,14 +131,28 @@ def _check_prime_pairs(lattice, pair_report):
 
 
 def _check_upset_closure(lattice):
-    # The members holding some element i but not some j above it.
+    # The members holding some element i but not some j above it; then
+    # whether the members are every up-set, each once: canonical order
+    # puts equal supports side by side, where no column tells them apart,
+    # and the up-sets are counted.
     columns = lattice.columns
-    wrong = 0
+    wrong = differ = 0
     for column, up in zip(columns, lattice.base.up_masks):
+        differ |= column ^ column >> 1
         for j in _bits(up):
             wrong |= column & ~columns[j]
     if wrong:
         return False, f"member={_lowest_member_label(lattice, wrong)}"
+    repeated = lattice.full_member_mask >> 1 & ~differ
+    if repeated:
+        return False, f"member={_lowest_member_label(lattice, repeated)} repeated"
+    m = len(lattice)
+    try:
+        upsets = dual_mod._count_upsets(lattice.base, m)
+    except TooLargeError:
+        upsets = None
+    if upsets != m:
+        return False, f"members={m} missing-up-sets"
     return True, None
 
 
@@ -129,14 +172,20 @@ def build_verification_report(
     counterexamples = {}
 
     def record(key, ok, payload):
-        checks[key] = "pass" if ok else "fail"
-        if not ok and payload is not None:
+        checks[key] = "skipped" if ok is None else "pass" if ok else "fail"
+        if ok is False and payload is not None:
             counterexamples[key] = payload
 
     record("dual_lattice_closure", *_check_upset_closure(lattice))
-    record("embedding_characterization", *_check_embedding_characterization(lattice))
-    record("embedding_order", *_check_embedding_order(lattice))
-    record("irreducible_covers", *_check_irreducible_covers(lattice))
+    # The checks that read λ_p and υ_p all fail, naming the first element
+    # without them, when some are missing.
+    witnesses, missing = _witness_indices(lattice)
+    for key, check in (
+        ("embedding_characterization", _check_embedding_characterization),
+        ("embedding_order", _check_embedding_order),
+        ("irreducible_covers", _check_irreducible_covers),
+    ):
+        record(key, *((False, missing) if missing else check(lattice, witnesses)))
 
     meet_count = join_count = None
     try:
@@ -144,7 +193,7 @@ def build_verification_report(
         meet_count = len(irr.meet_irreducibles)
         join_count = len(irr.join_irreducibles)
         ok = meet_count == poset.n and join_count == poset.n
-        record("irreducible_witnesses", ok, None if ok else "count mismatch")
+        record("irreducible_witnesses", ok, "count mismatch")
     except LemmaViolationError as exc:
         record("irreducible_witnesses", False, str(exc))
 
@@ -152,29 +201,17 @@ def build_verification_report(
     try:
         pair_report = ideals_mod.prime_principal_pairs(lattice)
         pair_count = len(pair_report.pairs)
-        record("prime_pairs", *_check_prime_pairs(lattice, pair_report))
+        # Every element has a pair, whose members hold λ_p and υ_p, so
+        # none is missing from `witnesses` here.
+        record("prime_pairs", *_check_prime_pairs(lattice, witnesses, pair_report))
     except LemmaViolationError as exc:
         record("prime_pairs", False, str(exc))
 
     iso = sd_mod.verify_isomorphism(lattice, use_bruteforce=use_bruteforce)
-    record(
-        "second_dual_round_trip",
-        iso.round_trip_ok,
-        "; ".join(iso.failures) if not iso.round_trip_ok else None,
-    )
-    record(
-        "second_dual_order_embedding",
-        iso.order_preserved_ok,
-        "; ".join(iso.failures) if not iso.order_preserved_ok else None,
-    )
-    if iso.brute_force_matched is None:
-        checks["second_dual_brute_force"] = "skipped"
-    else:
-        record(
-            "second_dual_brute_force",
-            iso.brute_force_matched,
-            "; ".join(iso.failures) if not iso.brute_force_matched else None,
-        )
+    failures = "; ".join(iso.failures)
+    record("second_dual_round_trip", iso.round_trip_ok, failures)
+    record("second_dual_order_embedding", iso.order_preserved_ok, failures)
+    record("second_dual_brute_force", iso.brute_force_matched, failures)
 
     if corrupt:
         # Harness hook: force one failure to exercise the exit-code path.

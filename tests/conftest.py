@@ -14,7 +14,6 @@ from posetdual import (
     transitive_reduction,
 )
 from posetdual.dot import _graph_id, support_label
-from posetdual.dual import _maximal_outside, lambda_of, upsilon_of
 from posetdual.poset import _bits
 from posetdual.seconddual import _down_rows, _ones_mask_checker
 
@@ -90,28 +89,125 @@ def complementary_pairs_scan(lattice):
     return pairs
 
 
+def _maximal_outside(up_masks, upset):
+    """Elements maximal outside an up-set U of the order given by up_masks.
+
+    The upper covers of U in the up-set lattice are U | {p} for exactly
+    these p (Birkhoff). With the opposite order's masks and the complement
+    of U they are the minimal p in U, and U - {p} are the lower covers.
+    """
+    return [p for p, up in enumerate(up_masks) if up & ~upset == 1 << p]
+
+
+def least_above(lattice, x):
+    """Inf of all members strictly above x (the top itself when x is top),
+    looked up by support: x's upper cover when it has exactly one, else x
+    itself."""
+    lattice.check_member(x)
+    covers = _maximal_outside(lattice.base.up_masks, x.support)
+    support = x.support | 1 << covers[0] if len(covers) == 1 else x.support
+    return lattice.member(lattice.index_of_support(support))
+
+
+def greatest_below(lattice, x):
+    """Sup of all members strictly below x (the bottom when x is bottom),
+    looked up by support: x's lower cover when it has exactly one, else x
+    itself."""
+    lattice.check_member(x)
+    outside = lattice.base.full_mask & ~x.support
+    covers = _maximal_outside(lattice.base.down_masks, outside)
+    support = x.support & ~(1 << covers[0]) if len(covers) == 1 else x.support
+    return lattice.member(lattice.index_of_support(support))
+
+
 def upset_closure_scan(lattice):
     """(ok, payload) of the dual_lattice_closure check, member by member:
-    the first member holding an element but not everything above it."""
+    the first member holding an element but not everything above it, then
+    the first member whose support the next member repeats, then whether
+    there are as many members as subsets of the base that are up-sets."""
     base = lattice.base
-    for x in lattice.members:
+    members = lattice.members
+    for x in members:
         for i in range(base.n):
             if x.support >> i & 1 and base.up_masks[i] & ~x.support:
                 return False, f"member={support_label(x)}"
+    for x, y in zip(members, members[1:]):
+        if x.support == y.support:
+            return False, f"member={support_label(x)} repeated"
+    if len(members) != len(upset_masks_bruteforce(base)):
+        return False, f"members={len(members)} missing-up-sets"
     return True, None
+
+
+def witnesses_scan(lattice):
+    """([(p, support of lambda_p, support of upsilon_p)] in element order,
+    None), or (None, payload) naming the first element whose lambda_p (0
+    exactly at the q <= p) or upsilon_p (1 exactly at the q >= p) no member
+    has, both built from the order relation and sought among the
+    supports."""
+    base = lattice.base
+    found = []
+    for k, p in enumerate(base.elements):
+        lam = sum(1 << j for j in range(base.n) if not base.leq_index(j, k))
+        ups = sum(1 << j for j in range(base.n) if base.leq_index(k, j))
+        if lam not in lattice.supports:
+            return None, f"p={p} no-lambda"
+        if ups not in lattice.supports:
+            return None, f"p={p} no-upsilon"
+        found.append((p, lam, ups))
+    return found, None
 
 
 def embedding_characterization_scan(lattice):
     """(ok, payload) of the embedding_characterization check, element by
     element and member by member, comparing supports: x(p) = 0 iff x is
     below lambda_p, and x(p) = 1 iff x is above upsilon_p."""
-    for i, p in enumerate(lattice.base.elements):
-        lam = lambda_of(lattice, p).support
-        ups = upsilon_of(lattice, p).support
+    witnesses, missing = witnesses_scan(lattice)
+    if missing:
+        return False, missing
+    for i, (p, lam, ups) in enumerate(witnesses):
         for k, x in enumerate(lattice.supports):
             value = x >> i & 1
             if (value == 0) != (x & ~lam == 0) or (value == 1) != (ups & ~x == 0):
                 return False, f"x={support_label(lattice.member(k))} p={p}"
+    return True, None
+
+
+def embedding_order_scan(lattice):
+    """(ok, payload) of the embedding_order check, pair by pair and
+    element by element: p <= q iff lambda_q <= lambda_p pointwise, iff
+    upsilon_q <= upsilon_p."""
+    witnesses, missing = witnesses_scan(lattice)
+    if missing:
+        return False, missing
+    n = lattice.base.n
+    for i, (p, lam_p, ups_p) in enumerate(witnesses):
+        for j, (q, lam_q, ups_q) in enumerate(witnesses):
+            expected = lattice.base.leq_index(i, j)
+            lam_rev = all(lam_q >> k & 1 <= lam_p >> k & 1 for k in range(n))
+            ups_rev = all(ups_q >> k & 1 <= ups_p >> k & 1 for k in range(n))
+            if lam_rev != expected or ups_rev != expected:
+                return False, f"p={p} q={q}"
+    return True, None
+
+
+def irreducible_covers_scan(lattice):
+    """(ok, payload) of the irreducible_covers check, member by member:
+    the least member strictly above lambda_p, the first member containing
+    the intersection of the supports strictly above lambda_p, must be
+    lambda_p with p added."""
+    witnesses, missing = witnesses_scan(lattice)
+    if missing:
+        return False, missing
+    supports = lattice.supports
+    for i, (p, lam, _) in enumerate(witnesses):
+        above = [x for x in supports if x != lam and lam & ~x == 0]
+        meet = lattice.base.full_mask
+        for x in above:
+            meet &= x
+        least = next(x for x in supports if meet & ~x == 0) if above else None
+        if least != lam | 1 << i:
+            return False, f"p={p}"
     return True, None
 
 

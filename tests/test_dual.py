@@ -10,13 +10,9 @@ from posetdual import (
     UnknownElementError,
     emit_lattice_dot,
     enumerate_dual,
-    greatest_below,
     inf_of,
     irreducibles,
-    is_join_irreducible,
-    is_meet_irreducible,
     lambda_of,
-    least_above,
     pointwise_leq,
     poset_from_relations,
     random_poset,
@@ -25,11 +21,13 @@ from posetdual import (
     upsilon_of,
 )
 from posetdual import dual as dual_mod
-from posetdual.dual import _count_upsets, _iter_upset_masks
+from posetdual.dual import _count_upsets, _irreducible_masks, _iter_upset_masks
 
 from conftest import (
     evaluation_columns_scan,
+    greatest_below,
     greatest_lower_bound_scan,
+    least_above,
     least_upper_bound_scan,
     poset_catalog,
     random_suite,
@@ -221,6 +219,13 @@ def test_supports_outside_base_refused():
     assert DualLattice(p, [3, 2, 1, 0]).supports == (0, 1, 2, 3)
 
 
+def test_empty_family_refused():
+    # Every up-set lattice holds the empty up-set, so it is never empty.
+    for p in (antichain(0), antichain(2)):
+        with pytest.raises(BaseMismatchError):
+            DualLattice(p, [])
+
+
 def test_one_object_per_member_however_reached():
     def reach(lattice):
         lams = [lambda_of(lattice, e) for e in lattice.base.elements]
@@ -358,11 +363,13 @@ def test_neighbours_in_square():
 
 
 def test_irreducibility_in_square():
-    assert is_meet_irreducible(ANTI2, member(ANTI2, "a"))
-    assert not is_meet_irreducible(ANTI2, ANTI2.top)
-    assert not is_meet_irreducible(ANTI2, ANTI2.bottom)
-    assert is_join_irreducible(ANTI2, member(ANTI2, "b"))
-    assert not is_join_irreducible(ANTI2, ANTI2.bottom)
+    meets, joins = _irreducible_masks(ANTI2)
+    index = ANTI2.member_index
+    assert meets >> index(member(ANTI2, "a")) & 1
+    assert not meets >> index(ANTI2.top) & 1
+    assert not meets >> index(ANTI2.bottom) & 1
+    assert joins >> index(member(ANTI2, "b")) & 1
+    assert not joins >> index(ANTI2.bottom) & 1
 
 
 def test_irreducibles_chain():

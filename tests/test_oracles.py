@@ -2,12 +2,16 @@
 
 Covers and the lattice Hasse diagram are read off the base poset in
 production. Everything `verify` asks of the order is read off the member
-columns: principal ideals and filters of a member set, ideal and filter
-checks, irreducibles, prime-pair candidates, and the up-set closure and
-embedding characterization checks. The second dual's homs are checked
-only on the principal-ideal candidates. The oracles in conftest rebuild
-each from the member order or the supports, member by member, or, for
-the homs, from every map on the members.
+columns, with no support -> index lookup: principal ideals and filters of
+a member set, ideal and filter checks, irreducibles, prime-pair
+candidates, the members that are λ_p and υ_p, and the four report checks
+built on them (up-set closure and completeness, embedding
+characterization and order, irreducible covers). The second dual's homs
+are checked only on the principal-ideal candidates. The oracles in
+conftest rebuild each from the member order or the supports, member by
+member, or, for the homs, from every map on the members. Member families
+that are not the up-sets of their base get the same verdicts, payloads
+included, from both sides, and the report fails them without raising.
 """
 
 import random
@@ -22,12 +26,10 @@ from posetdual import (
     emit_lattice_dot,
     enumerate_dual,
     enumerate_second_dual_bruteforce,
-    greatest_below,
     irreducibles,
     is_filter,
     is_ideal,
     lambda_of,
-    least_above,
     poset_from_relations,
     prime_principal_pairs,
     random_poset,
@@ -36,22 +38,23 @@ from posetdual import (
 )
 from posetdual import dual as dual_mod
 from posetdual.poset import _bits
-from posetdual.report import (
-    _check_embedding_characterization,
-    _check_upset_closure,
-)
+from posetdual.report import _check_upset_closure
 
 from conftest import (
     complementary_pairs_scan,
     embedding_characterization_scan,
+    embedding_order_scan,
+    greatest_below,
     greatest_lower_bound_scan,
     homs_by_all_maps,
     intervals_scan,
+    irreducible_covers_scan,
     irreducible_masks_scan,
     is_filter_pairwise,
     is_ideal_pairwise,
     lattice_cover_edges_scan,
     lattice_dot_scan,
+    least_above,
     least_upper_bound_scan,
     poset_catalog,
     random_suite,
@@ -176,12 +179,29 @@ def test_prime_pair_candidates_match_all_members(fixture_lattices):
         assert pairs == complementary_pairs_scan(lattice)
 
 
+# The report checks read off the member columns, each with the member
+# scan whose verdict, payload included, it must record.
+REPORT_SCANS = {
+    "dual_lattice_closure": upset_closure_scan,
+    "embedding_characterization": embedding_characterization_scan,
+    "embedding_order": embedding_order_scan,
+    "irreducible_covers": irreducible_covers_scan,
+}
+
+
+def _report_verdicts(lattice):
+    tree, _ = build_verification_report("v", lattice)
+    failed = tree.get("counterexamples", {})
+    return {
+        key: (tree["checks"][key] == "pass", failed.get(key)) for key in REPORT_SCANS
+    }
+
+
 def test_column_checks_match_member_scans(fixture_lattices):
     for lattice in fixture_lattices:
-        assert _check_upset_closure(lattice) == upset_closure_scan(lattice)
-        assert _check_embedding_characterization(
-            lattice
-        ) == embedding_characterization_scan(lattice)
+        verdicts = _report_verdicts(lattice)
+        assert verdicts == {key: scan(lattice) for key, scan in REPORT_SCANS.items()}
+        assert set(verdicts.values()) == {(True, None)}
 
 
 CORRUPTED = 2000
@@ -212,16 +232,8 @@ def _corrupted_lattices(count, seed):
             masks |= {rng.randrange(1 << n) for _ in range(rng.randint(1, 4))}
         if kinds & 4:
             base = _shuffled_poset(rng, n)
-        yield DualLattice(base, masks)
-
-
-def _outcome(check, lattice):
-    # A missing lambda_p or upsilon_p member raises KeyError from both
-    # sides; the exception is part of the verdict.
-    try:
-        return check(lattice)
-    except KeyError as exc:
-        return "KeyError", str(exc)
+        if masks:  # DualLattice refuses an empty family
+            yield DualLattice(base, masks)
 
 
 def _witnesses_verdict(lattice):
@@ -265,29 +277,73 @@ def test_lattice_dot_on_corrupted_lattices_is_scan_or_error():
     assert outcomes == {"error", "equal"}
 
 
+def _kind(verdict, missing_suffixes):
+    # "missing" for a failure naming an absent lambda_p or upsilon_p.
+    ok, payload = verdict
+    return "missing" if (payload or "").endswith(missing_suffixes) else ok
+
+
 def test_corrupted_lattices_get_the_scans_verdicts(monkeypatch):
     seen = set()
     for lattice in _corrupted_lattices(CORRUPTED, seed=11):
-        closure = _outcome(_check_upset_closure, lattice)
-        assert closure == _outcome(upset_closure_scan, lattice)
-        characterization = _outcome(_check_embedding_characterization, lattice)
-        assert characterization == _outcome(embedding_characterization_scan, lattice)
-        witnesses = _outcome(_witnesses_verdict, lattice)
+        for key, verdict in _report_verdicts(lattice).items():
+            assert verdict == REPORT_SCANS[key](lattice)
+            seen.add((key, _kind(verdict, ("no-lambda", "no-upsilon"))))
+        witnesses = _witnesses_verdict(lattice)
         with monkeypatch.context() as patch:
             patch.setattr(dual_mod, "_irreducible_masks", irreducible_masks_scan)
-            assert witnesses == _outcome(_witnesses_verdict, lattice)
-        for name, verdict in [
-            ("closure", closure),
-            ("characterization", characterization),
-            ("witnesses", witnesses),
-        ]:
-            seen.add((name, verdict[0]))
-    # Every check passes on some lattices and fails on others, and the
-    # missing-member KeyError is met too.
-    for name in ("closure", "characterization", "witnesses"):
-        assert {(name, True), (name, False)} <= seen
-    assert ("characterization", "KeyError") in seen
-    assert ("witnesses", "KeyError") in seen
+            assert witnesses == _witnesses_verdict(lattice)
+        seen.add(("witnesses", _kind(witnesses, "has no member")))
+    # Every check passes on some lattices and fails on others, and records
+    # a failure when a lambda_p or upsilon_p member is missing. The order
+    # check fails only then: a member found as lambda_p or upsilon_p has
+    # the support that the base order gives it.
+    kinds = {
+        "dual_lattice_closure": {True, False},
+        "embedding_characterization": {True, False, "missing"},
+        "embedding_order": {True, "missing"},
+        "irreducible_covers": {True, False, "missing"},
+        "witnesses": {True, False, "missing"},
+    }
+    assert seen == {(key, kind) for key, values in kinds.items() for kind in values}
+
+
+def test_report_passes_exactly_the_up_set_lattices():
+    passed = 0
+    for lattice in _corrupted_lattices(CORRUPTED, seed=11):
+        genuine = lattice.supports == enumerate_dual(lattice.base).supports
+        tree, ok = build_verification_report("c", lattice)
+        assert ok == genuine and (tree["result"] == "pass") == genuine
+        passed += ok
+    assert passed > 0
+
+
+def test_repeated_supports_fail_closure(lattices):
+    # A family listing one up-set twice is not the up-sets of its base.
+    for lattice in lattices:
+        if len(lattice) > ALL_MAPS_CAP:
+            continue
+        for support in lattice.supports:
+            twice = DualLattice(lattice.base, [*lattice.supports, support])
+            verdict = _check_upset_closure(twice)
+            assert verdict == upset_closure_scan(twice)
+            assert verdict[1].endswith(" repeated")
+            assert not build_verification_report("t", twice)[1]
+
+
+@pytest.mark.parametrize(
+    "poset",
+    [
+        random_poset(12, 4, 0.2),
+        poset_from_relations([f"a{i}" for i in range(WIDE)], []),
+    ],
+    ids=["random12", "antichain13"],
+)
+def test_report_builds_no_support_index(poset):
+    lattice = enumerate_dual(poset)
+    _, ok = build_verification_report("r", lattice)
+    assert ok
+    assert "_member_index" not in vars(lattice)
 
 
 def test_verify_at_scale():
