@@ -5,7 +5,8 @@ preimage of 1), which monotonicity forces to be an up-set of the base
 poset. Lattice joins and meets are then bitwise or/and of supports.
 """
 
-import struct
+import sys
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
@@ -14,8 +15,14 @@ from .errors import BaseMismatchError, LemmaViolationError, TooLargeError
 from .poset import DEFAULT_MAX_ELEMENTS, _bits, _digits
 
 DEFAULT_MAX_MEMBERS = 1 << 22
-# _BITS[b] maps a byte to ASCII "1" or "0" by its bit b.
-_BITS = tuple((b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8))
+# The three delta swaps (shift, lane mask) of Warren's transpose8 (Hacker's
+# Delight 7-3): together they transpose the 8x8 bit matrix held in a
+# 64-bit lane, swapping bit 8r + c with bit 8c + r.
+_TRANSPOSE8 = (
+    (7, 0x00AA00AA00AA00AA),
+    (14, 0x0000CCCC0000CCCC),
+    (28, 0x00000000F0F0F0F0),
+)
 
 
 @dataclass(frozen=True)
@@ -45,16 +52,19 @@ class DualLattice:
     """All monotone maps base -> {0, 1} under the pointwise order.
 
     Members are kept in a canonical order: by support popcount, then by
-    numeric support value (enumerate_dual walks in numeric order, so the
-    sort is O(m)). `supports` holds every member's support as an int in
-    that order, and is what the lattice operations read. The
-    MonotoneMap objects are made on demand, when first reached through
-    `members`, `member(i)`, `bottom`/`top` or a function such as
-    lambda_of; each member has exactly one object however it is reached.
-    The support -> index map is likewise built on the first lookup by
-    support: from sup_of/inf_of, lambda_of/upsilon_of, check_member and
-    member_index, or the brute-force hom oracle. `verify` without that
-    oracle, `second-dual` and the DOT make none.
+    numeric support value. `supports` holds every member's support in
+    that order as an array('Q') of 64-bit rows, and is what the lattice
+    operations read; it indexes, iterates, and answers `in` and `.index`
+    like a tuple of ints. `DualLattice(base, masks)` sorts any family of
+    supports into that order; enumerate_dual builds its lattice already
+    in order (`_canonical`), with no sort. The MonotoneMap objects are
+    made on demand, when first reached through `members`, `member(i)`,
+    `bottom`/`top` or a function such as lambda_of; each member has
+    exactly one object however it is reached. The support -> index map
+    is likewise built on the first lookup by support: from sup_of/inf_of,
+    lambda_of/upsilon_of, check_member and member_index, or the
+    brute-force hom oracle. `verify` without that oracle, `second-dual`
+    and the DOT make none.
     `columns[p]` is the member-index mask of the members whose support
     holds base element p, i.e. the preimage of 1 under evaluation at p;
     evaluation homs and the principal ideal and filter of a set of
@@ -62,26 +72,33 @@ class DualLattice:
     O(n) big-int operations, and the Hasse covers, `cover_masks`, in
     O(n^2). The columns, the cover masks and the base elements' witness
     supports, `witness_tables`, are each built once, on first use. The
-    columns are transposed from 64-bit rows, so the base has at most
-    DEFAULT_MAX_ELEMENTS (64) elements (else TooLargeError), and there
-    must be at least one support, each lying in it (else
-    BaseMismatchError): every up-set lattice holds the empty set.
-    Immutable after construction.
+    rows are 64 bits wide, so the base has at most DEFAULT_MAX_ELEMENTS
+    (64) elements (else TooLargeError), and there must be at least one
+    support, each lying in it (else BaseMismatchError): every up-set
+    lattice holds the empty set. Immutable after construction.
     """
 
     def __init__(self, base, support_masks):
-        if base.n > DEFAULT_MAX_ELEMENTS:
-            raise TooLargeError(
-                f"dual lattice over {base.n} elements, cap is {DEFAULT_MAX_ELEMENTS}"
-            )
-        self.base = base
+        _check_width(base)
         supports = sorted(support_masks)
         if not supports:
             raise BaseMismatchError("no supports: every up-set lattice has one")
         if supports[0] < 0 or supports[-1] > base.full_mask:
             raise BaseMismatchError("support has elements outside the base")
         supports.sort(key=int.bit_count)
-        self.supports = tuple(supports)
+        self._setup(base, array("Q", supports))
+
+    @classmethod
+    def _canonical(cls, base, supports):
+        """A lattice over an array('Q') of supports already in canonical
+        order and inside the base; nothing is sorted or checked."""
+        lattice = cls.__new__(cls)
+        lattice._setup(base, supports)
+        return lattice
+
+    def _setup(self, base, supports):
+        self.base = base
+        self.supports = supports
         # Member objects made so far; replaced by `members` once all are.
         self._made = [None] * len(supports)
         self._members = None
@@ -123,14 +140,7 @@ class DualLattice:
     def columns(self):
         """columns[p]: member-index mask of the supports holding element p."""
         if self._columns is None:
-            # Byte p // 8 of each little-endian 64-bit row, last member
-            # first, spelled "1"/"0" by bit p % 8, is column p in binary.
-            raw = struct.pack(f"<{len(self.supports)}Q", *self.supports)
-            last = len(raw) - 8
-            self._columns = tuple(
-                int(raw[last + p // 8 :: -8].translate(_BITS[p % 8]) or b"0", 2)
-                for p in range(self.base.n)
-            )
+            self._columns = _transpose_rows(self.supports, self.base.n)
         return self._columns
 
     @property
@@ -204,34 +214,84 @@ class DualLattice:
         `mask`, e.g. the interval above member i for mask 1 << i."""
         inside = self.full_member_mask
         for column in self.columns:
-            if not mask & ~column:
+            if mask & column == mask:
                 inside &= column
         return inside
 
 
-def _iter_upset_masks(poset):
-    # Split on the highest undecided element p: either p is in the
-    # up-set, and then so is everything above it, or it is out, and then
-    # so is everything below it. The included part stays an up-set and
-    # the excluded part a down-set, so (for any undecided p) neither
-    # branch can contradict the other's decisions: every node of the
-    # search has a leaf below it, and m up-sets cost 2m - 1 nodes. The
-    # branches differ first at bit p, so taking the exclude branch at once
-    # and stacking the include branch yields increasing numeric order.
-    up, down, full = poset.up_masks, poset.down_masks, poset.full_mask
-    stack = [0, 0]
+def _check_width(base):
+    if base.n > DEFAULT_MAX_ELEMENTS:
+        raise TooLargeError(
+            f"dual lattice over {base.n} elements, cap is {DEFAULT_MAX_ELEMENTS}"
+        )
+
+
+def _transpose_rows(rows, n):
+    """The n columns of an array('Q') of rows: column p is the int whose
+    bit i is bit p of rows[i].
+
+    Byte plane k of the little-endian rows, every 8th byte from byte k,
+    holds bits 8k..8k+7 of each row. Read as one int, each 64-bit lane of
+    a plane is an 8x8 bit matrix over 8 consecutive rows (the last lane
+    padded with zero rows), and the delta
+    swaps of _TRANSPOSE8, with their masks repeated across the lanes,
+    transpose every lane at once. Byte c of each lane then holds bit
+    8k + c of those 8 rows, so every 8th byte from byte c, read as one
+    little-endian int, is column 8k + c.
+    """
+    if sys.byteorder == "big":  # untested: CI hosts are little-endian
+        rows = array("Q", rows)
+        rows.byteswap()
+    raw = rows.tobytes()
+    lanes = -(-len(rows) // 8)
+    swaps = [
+        (shift, int.from_bytes(mask.to_bytes(8, "little") * lanes, "little"))
+        for shift, mask in _TRANSPOSE8
+    ]
+    columns = []
+    for k in range(-(-n // 8)):
+        x = int.from_bytes(raw[k::8], "little")
+        for shift, mask in swaps:
+            t = (x >> shift ^ x) & mask
+            x ^= t ^ t << shift
+        plane = x.to_bytes(8 * lanes, "little")
+        columns.extend(
+            int.from_bytes(plane[c::8], "little") for c in range(min(8, n - 8 * k))
+        )
+    return tuple(columns)
+
+
+def _walk_upset_buckets(poset):
+    """Every up-set of the poset, in one array('Q') per popcount.
+
+    Splits on the highest undecided element p: either p is in the up-set,
+    and then so is everything above it, or it is out, and then so is
+    everything below it. The included part stays an up-set and the
+    excluded part a down-set, so (for any undecided p) neither branch can
+    contradict the other's decisions: every node of the search has a leaf
+    below it, and m up-sets cost 2m - 1 nodes. The branches differ first
+    at bit p, so taking the exclude branch at once and stacking the
+    include branch reaches the leaves in increasing numeric order: each
+    bucket is increasing, and the buckets concatenated are in canonical
+    order.
+    """
+    up = poset.up_masks
+    not_up = [~u for u in up]
+    not_down = [~d for d in poset.down_masks]
+    buckets = [array("Q") for _ in range(poset.n + 1)]
+    leaf = [bucket.append for bucket in buckets]
+    stack = [0, poset.full_mask]  # (included, undecided) pairs
     pop, push = stack.pop, stack.append
     while stack:
-        excluded = pop()
+        rest = pop()
         included = pop()
-        decided = included | excluded
-        while decided != full:
-            p = (full & ~decided).bit_length() - 1
+        while rest:
+            p = rest.bit_length() - 1
             push(included | up[p])
-            push(excluded)
-            excluded |= down[p]
-            decided = included | excluded
-        yield included
+            push(rest & not_up[p])
+            rest &= not_down[p]
+        leaf[included.bit_count()](included)
+    return buckets
 
 
 def _count_upsets(poset, limit):
@@ -303,19 +363,25 @@ def _count_upsets(poset, limit):
 def enumerate_dual(poset, max_members=DEFAULT_MAX_MEMBERS):
     """Enumerate every up-set of the poset as a lattice of monotone maps.
 
-    Counts the up-sets first, with a memo budget of max_members entries,
-    and raises TooLargeError naming the count, or saying the budget ran
-    out, when there are more than max_members of them; nothing is walked
-    then. Otherwise walks them all and raises LemmaViolationError if the
-    walk and the count disagree, so each checks the other.
+    Refuses a base of more than DEFAULT_MAX_ELEMENTS elements with
+    TooLargeError. Then counts the up-sets, with a memo budget of
+    max_members entries, and raises TooLargeError naming the count, or
+    saying the budget ran out, when there are more than max_members of
+    them; nothing is walked then. Otherwise walks them all into popcount
+    buckets, whose concatenation is the canonical order, and raises
+    LemmaViolationError if the walk and the count disagree, so each
+    checks the other.
     """
+    _check_width(poset)
     count = _count_upsets(poset, max_members)
     if count > max_members:
         raise TooLargeError(f"dual lattice has {count} members, cap {max_members}")
-    masks = list(_iter_upset_masks(poset))
-    if len(masks) != count:
-        raise LemmaViolationError(f"walked {len(masks)} up-sets but counted {count}")
-    return DualLattice(poset, masks)
+    supports = array("Q")
+    for bucket in _walk_upset_buckets(poset):
+        supports += bucket
+    if len(supports) != count:
+        raise LemmaViolationError(f"walked {len(supports)} up-sets but counted {count}")
+    return DualLattice._canonical(poset, supports)
 
 
 def pointwise_leq(x, y):

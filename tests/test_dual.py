@@ -21,7 +21,7 @@ from posetdual import (
     upsilon_of,
 )
 from posetdual import dual as dual_mod
-from posetdual.dual import _count_upsets, _irreducible_masks, _iter_upset_masks
+from posetdual.dual import _count_upsets, _irreducible_masks, _walk_upset_buckets
 
 from conftest import (
     evaluation_columns_scan,
@@ -115,9 +115,14 @@ def test_member_cap():
                 assert len(enumerate_dual(q, max_members=cap)) == m
 
 
+def walked_masks(poset):
+    """The walk's up-sets, buckets concatenated."""
+    return [mask for bucket in _walk_upset_buckets(poset) for mask in bucket]
+
+
 def test_count_matches_walk():
     for p in poset_catalog(4) + random_suite() + [grid(4, 8)]:
-        assert _count_upsets(p, DEFAULT_CAP) == len(list(_iter_upset_masks(p)))
+        assert _count_upsets(p, DEFAULT_CAP) == len(walked_masks(p))
 
 
 def test_count_closed_forms():
@@ -143,7 +148,7 @@ def test_refusals_walk_no_upsets(monkeypatch):
     def no_walk(poset):
         raise AssertionError("walked the up-sets of an over-cap poset")
 
-    monkeypatch.setattr(dual_mod, "_iter_upset_masks", no_walk)
+    monkeypatch.setattr(dual_mod, "_walk_upset_buckets", no_walk)
     message = "^dual lattice has 1099511627776 members, cap 4194304$"
     with pytest.raises(TooLargeError, match=message):
         enumerate_dual(antichain(40))
@@ -156,9 +161,11 @@ def test_refusals_walk_no_upsets(monkeypatch):
 
 def test_walk_and_count_must_agree(monkeypatch):
     def short_walk(poset):
-        return list(_iter_upset_masks(poset))[1:]
+        buckets = _walk_upset_buckets(poset)
+        del buckets[0][0]
+        return buckets
 
-    monkeypatch.setattr(dual_mod, "_iter_upset_masks", short_walk)
+    monkeypatch.setattr(dual_mod, "_walk_upset_buckets", short_walk)
     with pytest.raises(LemmaViolationError, match="walked 7 up-sets but counted 8"):
         enumerate_dual(antichain(3))
 
@@ -170,15 +177,28 @@ def test_walk_yields_each_upset_once():
         for seed, density in ((n, 0.1), (n + 11, 0.3), (n + 22, 0.6))
     ]
     for p in posets:
-        masks = list(_iter_upset_masks(p))
+        masks = walked_masks(p)
         assert len(masks) == len(set(masks))
         assert sorted(masks) == upset_masks_bruteforce(p)
 
 
 def test_walk_is_in_numeric_order():
-    for p in poset_catalog(4) + random_suite() + [grid(4, 8)]:
-        masks = list(_iter_upset_masks(p))
-        assert all(a < b for a, b in zip(masks, masks[1:]))
+    # Each bucket holds the up-sets of its popcount in increasing order.
+    for p in poset_catalog(4) + random_suite() + [grid(4, 8), chain(64)]:
+        buckets = _walk_upset_buckets(p)
+        assert len(buckets) == p.n + 1
+        for k, bucket in enumerate(buckets):
+            assert all(a < b for a, b in zip(bucket, bucket[1:]))
+            assert all(mask.bit_count() == k for mask in bucket)
+
+
+def test_walk_buckets_concatenate_to_canonical_order():
+    # The sorting constructor orders any family canonically; the walk's
+    # buckets, concatenated, must already be in that order.
+    for p in poset_catalog(4) + random_suite() + [grid(4, 8), chain(64)]:
+        masks = walked_masks(p)
+        assert tuple(DualLattice(p, masks).supports) == tuple(masks)
+        assert tuple(enumerate_dual(p).supports) == tuple(masks)
 
 
 def test_columns_are_member_values():
@@ -196,18 +216,31 @@ def chain(n, max_elements=64):
 
 def test_columns_at_row_byte_edges():
     # Element 63 is the last bit of a 64-bit row; an 8-element base fills
-    # exactly one byte of it.
-    for p in (chain(64), antichain(8), fence(8)):
+    # exactly one byte of it, and n = 1, 9 and 63 fill the last byte
+    # plane partly. A k-chain has k + 1 members, so m runs through every
+    # residue mod 8: the last 64-bit lane of a plane is padded.
+    posets = [chain(k) for k in (0, 1, 2, 3, 4, 5, 6, 9, 15, 63, 64)]
+    posets += [antichain(1), antichain(8), fence(8), fence(9), antichain(9)]
+    posets += [random_poset(63, 5, 0.9), random_poset(64, 7, 0.95)]
+    for p in posets:
         lattice = enumerate_dual(p)
         assert lattice.columns == evaluation_columns_scan(lattice)
+    assert {len(enumerate_dual(p)) % 8 for p in posets} == set(range(8))
+    assert {1, 8, 9, 63, 64} <= {p.n for p in posets}
 
 
-def test_base_over_64_elements_refused():
+def test_base_over_64_elements_refused(monkeypatch):
+    # enumerate_dual refuses the base before it counts or walks.
+    def refuse(*args):
+        raise AssertionError("counted or walked a base over 64 elements")
+
+    monkeypatch.setattr(dual_mod, "_count_upsets", refuse)
+    monkeypatch.setattr(dual_mod, "_walk_upset_buckets", refuse)
     p = chain(65, max_elements=65)
     message = "^dual lattice over 65 elements, cap is 64$"
     with pytest.raises(TooLargeError, match=message):
         DualLattice(p, [0])
-    with pytest.raises(TooLargeError):
+    with pytest.raises(TooLargeError, match=message):
         enumerate_dual(p)
 
 
@@ -216,7 +249,7 @@ def test_supports_outside_base_refused():
     for masks in ([0, 1, 2, 3, 4], [-1, 0, 1, 2, 3]):
         with pytest.raises(BaseMismatchError):
             DualLattice(p, masks)
-    assert DualLattice(p, [3, 2, 1, 0]).supports == (0, 1, 2, 3)
+    assert tuple(DualLattice(p, [3, 2, 1, 0]).supports) == (0, 1, 2, 3)
 
 
 def test_empty_family_refused():
