@@ -5,6 +5,7 @@ machinery: subsets are filtered, bounds are found by full scans, and
 posets are generated by filtering raw relations.
 """
 
+from array import array
 from itertools import combinations, product
 
 from posetdual import (
@@ -31,6 +32,24 @@ def upset_masks_bruteforce(poset):
         if ok:
             out.append(mask)
     return out
+
+
+def upset_walk_scan(poset):
+    """Every up-set in one array('Q') per popcount, by the plain walk:
+    split on the highest undecided element until none is left, taking
+    the exclude branch at once and stacking the include branch, and
+    append each leaf on its own. Leaves come in increasing order."""
+    up = poset.up_masks
+    buckets = [array("Q") for _ in range(poset.n + 1)]
+    stack = [(0, poset.full_mask)]  # (included, undecided)
+    while stack:
+        included, rest = stack.pop()
+        while rest:
+            p = rest.bit_length() - 1
+            stack.append((included | up[p], rest & ~up[p]))
+            rest &= ~poset.down_masks[p]
+        buckets[included.bit_count()].append(included)
+    return buckets
 
 
 def down_mask_scan(poset, j):

@@ -158,30 +158,22 @@ def test_criterion_5_prime_pairs(suite):
     _report(5, "prime principal pairs biject with base elements", ok)
 
 
-def _np_lub(supports, ks):
-    ub = np.ones(len(supports), bool)
-    for s in ks:
-        ub &= (supports & s) == s
-    cand = supports[ub]
-    if len(cand) == 0:
-        return None
-    c0 = cand[0]  # canonical order puts the least first if it exists
-    if not ((cand & c0) == c0).all():
-        return None
-    return int(c0)
-
-
-def _np_glb(supports, ks):
-    lb = np.ones(len(supports), bool)
-    for s in ks:
-        lb &= (supports & s) == supports
-    cand = supports[lb]
-    if len(cand) == 0:
-        return None
-    c0 = cand[-1]  # canonical order puts the greatest last if it exists
-    if not ((cand & c0) == cand).all():
-        return None
-    return int(c0)
+def _np_bounds(supports, pools):
+    """(lub, glb): per row of `pools` (member indices, one pool a row),
+    the least member above every pool member and the greatest below
+    them all, found by scanning every member; -1 where none is unique."""
+    column = supports[None, :]
+    above = np.ones((len(pools), len(supports)), bool)
+    below = above.copy()
+    for k in supports[pools].T[:, :, None]:  # one pool position at a time
+        above &= (column & k) == k
+        below &= (column & k) == column
+    # Canonical order puts the least first and the greatest last, if any.
+    least = supports[above.argmax(axis=1)][:, None]
+    greatest = supports[len(supports) - 1 - below[:, ::-1].argmax(axis=1)][:, None]
+    lub_ok = above.any(axis=1) & (~above | ((column & least) == least)).all(axis=1)
+    glb_ok = below.any(axis=1) & (~below | ((column & greatest) == column)).all(axis=1)
+    return np.where(lub_ok, least[:, 0], -1), np.where(glb_ok, greatest[:, 0], -1)
 
 
 def test_criterion_6_sup_inf_oracle(suite):
@@ -191,18 +183,21 @@ def test_criterion_6_sup_inf_oracle(suite):
         m = len(lattice)
         if m > 64:
             continue
-        supports = np.array([x.support for x in lattice.members], np.int64)
-        pools = [()]
-        for size in (1, 2, 3):
-            pools.extend(combinations(range(m), size))
-        pools.append(tuple(range(m)))
-        for idxs in pools:
-            maps = [lattice.members[i] for i in idxs]
-            ks = [int(supports[i]) for i in idxs]
-            if sup_of(lattice, maps).support != _np_lub(supports, ks):
-                ok = False
-            if inf_of(lattice, maps).support != _np_glb(supports, ks):
-                ok = False
+        members = lattice.members
+        supports = np.array([x.support for x in members], np.int64)
+        pools = [(k, list(combinations(range(m), k))) for k in (0, 1, 2, 3)]
+        pools.append((m, [tuple(range(m))]))
+        for size, same_size in pools:
+            rows = np.array(same_size, np.intp).reshape(len(same_size), size)
+            lub, glb = _np_bounds(supports, rows)
+            for idxs, lub_support, glb_support in zip(
+                same_size, lub.tolist(), glb.tolist()
+            ):
+                maps = [members[i] for i in idxs]
+                if sup_of(lattice, maps).support != lub_support:
+                    ok = False
+                if inf_of(lattice, maps).support != glb_support:
+                    ok = False
     _report(6, "pointwise sup/inf equal scanned bounds (K<=3, empty, all)", ok)
 
 

@@ -32,6 +32,7 @@ from conftest import (
     poset_catalog,
     random_suite,
     upset_masks_bruteforce,
+    upset_walk_scan,
 )
 
 
@@ -145,7 +146,7 @@ def test_budget_counts_memo_entries():
 
 
 def test_refusals_walk_no_upsets(monkeypatch):
-    def no_walk(poset):
+    def no_walk(poset, tail):
         raise AssertionError("walked the up-sets of an over-cap poset")
 
     monkeypatch.setattr(dual_mod, "_walk_upset_buckets", no_walk)
@@ -160,8 +161,8 @@ def test_refusals_walk_no_upsets(monkeypatch):
 
 
 def test_walk_and_count_must_agree(monkeypatch):
-    def short_walk(poset):
-        buckets = _walk_upset_buckets(poset)
+    def short_walk(poset, tail):
+        buckets = _walk_upset_buckets(poset, tail)
         del buckets[0][0]
         return buckets
 
@@ -199,6 +200,47 @@ def test_walk_buckets_concatenate_to_canonical_order():
         masks = walked_masks(p)
         assert tuple(DualLattice(p, masks).supports) == tuple(masks)
         assert tuple(enumerate_dual(p).supports) == tuple(masks)
+
+
+def walk_posets():
+    posets = poset_catalog(4) + random_suite() + [grid(4, 8), chain(64)]
+    return posets + [antichain(n) for n in range(17)] + [fence(n) for n in range(17)]
+
+
+def bucket_bytes(buckets):
+    return [bucket.tobytes() for bucket in buckets]
+
+
+def test_walk_matches_plain_walk():
+    # chain(64) has up-sets holding bit 63, where a carry out of a lane
+    # would show; random_poset(40, 0, 0.1) has 190,048 up-sets.
+    for p in walk_posets() + [random_poset(40, 0, 0.1)]:
+        assert bucket_bytes(_walk_upset_buckets(p)) == bucket_bytes(upset_walk_scan(p))
+
+
+@pytest.mark.parametrize("tail", [0, 1, 64])
+def test_walk_matches_plain_walk_at_any_tail(tail):
+    # Tail 0 is the plain walk, appending each leaf on its own; tail 64
+    # builds the whole family from the memoized remainders, without a walk.
+    for p in walk_posets():
+        assert bucket_bytes(_walk_upset_buckets(p, tail)) == bucket_bytes(
+            upset_walk_scan(p)
+        )
+
+
+def test_walk_tail_is_gated_on_the_count(monkeypatch):
+    # Below _TAIL_MIN_MEMBERS up-sets enumerate_dual walks to the leaves.
+    tails = []
+
+    def walk(poset, tail):
+        tails.append(tail)
+        return _walk_upset_buckets(poset, tail)
+
+    monkeypatch.setattr(dual_mod, "_walk_upset_buckets", walk)
+    assert dual_mod._TAIL_MIN_MEMBERS == 1024
+    assert len(enumerate_dual(antichain(9))) == 512
+    assert len(enumerate_dual(antichain(10))) == 1024
+    assert tails == [0, dual_mod._TAIL_ELEMENTS]
 
 
 def test_columns_are_member_values():
@@ -446,8 +488,21 @@ def test_irreducibles_build_no_support_index():
 def test_lattice_dot_makes_no_members():
     lattice = enumerate_dual(random_poset(12, 4, 0.2))
     emit_lattice_dot(lattice, label_embeddings=True)
-    assert lattice._made == [None] * len(lattice)
+    assert lattice._made == {} and lattice._members is None  # no member made
     assert "_member_index" not in vars(lattice)
+
+
+def test_one_object_per_member():
+    # However a member is reached, before or after `members` makes them
+    # all, it is the same object; only the members reached are held.
+    lattice = enumerate_dual(random_poset(8, 2, 0.2))
+    top, third = lattice.member(-1), lattice.member(3)
+    assert lattice.top is top and lattice.member(len(lattice) - 1) is top
+    assert len(lattice._made) == 2
+    assert lattice.members[3] is third and lattice.members[-1] is top
+    assert lattice.member(3) is third and lattice.bottom is lattice.members[0]
+    with pytest.raises(IndexError):
+        lattice.member(len(lattice))
 
 
 def test_meet_irreducible_cover_witness():
