@@ -16,12 +16,8 @@ from .poset import DEFAULT_MAX_ELEMENTS, _bits, _digits
 
 DEFAULT_MAX_MEMBERS = 1 << 22
 # The up-set walk stops splitting once at most this many elements are
-# undecided, and appends that remainder's memoized up-sets in one copy;
-# only for lattices of at least _TAIL_MIN_MEMBERS up-sets, because below
-# that the walk seldom meets a remainder twice, and building its family
-# costs more than walking it (up to 3x on random posets under 700 up-sets).
+# undecided, and appends that remainder's memoized up-sets in one copy.
 _TAIL_ELEMENTS = 8
-_TAIL_MIN_MEMBERS = 1 << 10
 # The three delta swaps (shift, lane mask) of Warren's transpose8 (Hacker's
 # Delight 7-3): together they transpose the 8x8 bit matrix held in a
 # 64-bit lane, swapping bit 8r + c with bit 8c + r.
@@ -64,9 +60,9 @@ class DualLattice:
     operations read; it indexes, iterates, and answers `in` and `.index`
     like a tuple of ints. `DualLattice(base, masks)` sorts any family of
     supports into that order; enumerate_dual builds its lattice already
-    in order (`_canonical`), with no sort; on large lattices its walk
-    appends each small remainder's memoized up-sets to the popcount
-    buckets as 64-bit lanes of one int. The MonotoneMap objects are made on demand, when first
+    in order (`_canonical`), with no sort; its walk appends each small
+    remainder's memoized up-sets to the popcount buckets as 64-bit lanes
+    of one int. The MonotoneMap objects are made on demand, when first
     reached through `members`, `member(i)`, `bottom`/`top` or a function
     such as lambda_of, and kept in a dict of those made, so a lattice
     whose members are never reached holds no per-member slot; each member
@@ -124,11 +120,10 @@ class DualLattice:
         """The member at canonical index i, made on first request."""
         if self._members is not None:
             return self._members[i]
+        i = range(len(self.supports))[i]  # a negative i counts from the end
         x = self._made.get(i)
         if x is None:
-            x = MonotoneMap(self.base, self.supports[i])
-            # A negative i names the same member as i + len(self).
-            x = self._made.setdefault(i % len(self.supports), x)
+            x = self._made[i] = MonotoneMap(self.base, self.supports[i])
         return x
 
     @property
@@ -280,7 +275,7 @@ def _transpose_rows(rows, n):
     return tuple(columns)
 
 
-def _walk_upset_buckets(poset, tail=_TAIL_ELEMENTS):
+def _walk_upset_buckets(poset):
     """Every up-set of the poset, in one array('Q') per popcount.
 
     Splits on the highest undecided element p: either p is in the up-set,
@@ -293,19 +288,19 @@ def _walk_upset_buckets(poset, tail=_TAIL_ELEMENTS):
     increasing numeric order: each bucket is increasing, and the buckets
     concatenated are in canonical order.
 
-    The split stops once at most `tail` elements R are undecided. The
-    leaves below are then `included + U` for U an up-set of the poset
-    restricted to R (`_remainder_family`), and the walk meets the same
-    few remainders many times, so each R's family is built once per walk
-    and kept as 64-bit lanes of one int per popcount. A visit adds
-    `included` to every lane and appends the lanes' little-endian bytes
-    to the bucket in one copy; `included` is disjoint from R, so no lane
-    carries. With tail 0, or once nothing is undecided, the leaf is
-    appended on its own. A big-endian host takes tail 0, because the
-    lanes are little-endian (untested: CI hosts are little-endian).
+    The split stops once at most _TAIL_ELEMENTS elements R are
+    undecided. The leaves below are then `included + U` for U an up-set
+    of the poset restricted to R (`_remainder_family`), and the walk
+    meets the same few remainders many times, so each R's family is
+    built once per walk and kept as 64-bit lanes of one int per popcount.
+    A visit adds `included` to every lane and appends the lanes'
+    little-endian bytes to the bucket in one copy; `included` is disjoint
+    from R, so no lane carries. Once nothing is undecided, the leaf is
+    appended on its own. A big-endian host splits down to the leaves and
+    appends each on its own, because the lanes are little-endian
+    (untested: CI hosts are little-endian).
     """
-    if sys.byteorder == "big":
-        tail = 0
+    tail = 0 if sys.byteorder == "big" else _TAIL_ELEMENTS
     up = poset.up_masks
     not_up = [~u for u in up]
     not_down = [~d for d in poset.down_masks]
@@ -326,9 +321,7 @@ def _walk_upset_buckets(poset, tail=_TAIL_ELEMENTS):
         if not rest:
             leaf[included.bit_count()](included)
             continue
-        family = families.get(rest)
-        if family is None:
-            family = _remainder_family(rest, up, not_up, not_down, families)
+        family = _remainder_family(rest, up, not_up, not_down, families)
         for k, (lanes, ones, count) in enumerate(family, included.bit_count()):
             if count:
                 extend[k]((lanes + included * ones).to_bytes(8 * count, "little"))
@@ -440,20 +433,19 @@ def enumerate_dual(poset, max_members=DEFAULT_MAX_MEMBERS):
     max_members entries, and raises TooLargeError naming the count, or
     saying the budget ran out, when there are more than max_members of
     them; nothing is walked then. Otherwise walks them all into popcount
-    buckets, whose concatenation is the canonical order. On a lattice of
-    at least _TAIL_MIN_MEMBERS up-sets the walk splits only down to
-    remainders of at most _TAIL_ELEMENTS undecided elements, and appends
-    each remainder's up-sets, built once per walk, as the 64-bit lanes of
-    one int (`_walk_upset_buckets`). Raises LemmaViolationError if the
-    walk and the count disagree, so each checks the other.
+    buckets, whose concatenation is the canonical order. The walk splits
+    only down to remainders of at most _TAIL_ELEMENTS undecided
+    elements, and appends each remainder's up-sets, built once per walk,
+    as the 64-bit lanes of one int (`_walk_upset_buckets`). Raises
+    LemmaViolationError if the walk and the count disagree, so each
+    checks the other.
     """
     _check_width(poset)
     count = _count_upsets(poset, max_members)
     if count > max_members:
         raise TooLargeError(f"dual lattice has {count} members, cap {max_members}")
-    tail = _TAIL_ELEMENTS if count >= _TAIL_MIN_MEMBERS else 0
     supports = array("Q")
-    for bucket in _walk_upset_buckets(poset, tail):
+    for bucket in _walk_upset_buckets(poset):
         supports += bucket
     if len(supports) != count:
         raise LemmaViolationError(f"walked {len(supports)} up-sets but counted {count}")

@@ -6,6 +6,7 @@ from posetdual import (
     BaseMismatchError,
     DualLattice,
     LemmaViolationError,
+    MonotoneMap,
     TooLargeError,
     UnknownElementError,
     emit_lattice_dot,
@@ -146,7 +147,7 @@ def test_budget_counts_memo_entries():
 
 
 def test_refusals_walk_no_upsets(monkeypatch):
-    def no_walk(poset, tail):
+    def no_walk(poset):
         raise AssertionError("walked the up-sets of an over-cap poset")
 
     monkeypatch.setattr(dual_mod, "_walk_upset_buckets", no_walk)
@@ -161,8 +162,8 @@ def test_refusals_walk_no_upsets(monkeypatch):
 
 
 def test_walk_and_count_must_agree(monkeypatch):
-    def short_walk(poset, tail):
-        buckets = _walk_upset_buckets(poset, tail)
+    def short_walk(poset):
+        buckets = _walk_upset_buckets(poset)
         del buckets[0][0]
         return buckets
 
@@ -219,28 +220,12 @@ def test_walk_matches_plain_walk():
 
 
 @pytest.mark.parametrize("tail", [0, 1, 64])
-def test_walk_matches_plain_walk_at_any_tail(tail):
+def test_walk_matches_plain_walk_at_any_tail(monkeypatch, tail):
     # Tail 0 is the plain walk, appending each leaf on its own; tail 64
     # builds the whole family from the memoized remainders, without a walk.
+    monkeypatch.setattr(dual_mod, "_TAIL_ELEMENTS", tail)
     for p in walk_posets():
-        assert bucket_bytes(_walk_upset_buckets(p, tail)) == bucket_bytes(
-            upset_walk_scan(p)
-        )
-
-
-def test_walk_tail_is_gated_on_the_count(monkeypatch):
-    # Below _TAIL_MIN_MEMBERS up-sets enumerate_dual walks to the leaves.
-    tails = []
-
-    def walk(poset, tail):
-        tails.append(tail)
-        return _walk_upset_buckets(poset, tail)
-
-    monkeypatch.setattr(dual_mod, "_walk_upset_buckets", walk)
-    assert dual_mod._TAIL_MIN_MEMBERS == 1024
-    assert len(enumerate_dual(antichain(9))) == 512
-    assert len(enumerate_dual(antichain(10))) == 1024
-    assert tails == [0, dual_mod._TAIL_ELEMENTS]
+        assert bucket_bytes(_walk_upset_buckets(p)) == bucket_bytes(upset_walk_scan(p))
 
 
 def test_columns_are_member_values():
@@ -492,12 +477,22 @@ def test_lattice_dot_makes_no_members():
     assert "_member_index" not in vars(lattice)
 
 
-def test_one_object_per_member():
+def test_member_objects_are_made_once(monkeypatch):
     # However a member is reached, before or after `members` makes them
-    # all, it is the same object; only the members reached are held.
+    # all, it is the same object, made once; only the members reached
+    # are held.
+    made = []
+
+    def make(base, support):
+        made.append(support)
+        return MonotoneMap(base, support)
+
+    monkeypatch.setattr(dual_mod, "MonotoneMap", make)
     lattice = enumerate_dual(random_poset(8, 2, 0.2))
     top, third = lattice.member(-1), lattice.member(3)
-    assert lattice.top is top and lattice.member(len(lattice) - 1) is top
+    assert lattice.member(-1) is top and lattice.top is top
+    assert lattice.member(len(lattice) - 1) is top
+    assert made == [lattice.supports[-1], lattice.supports[3]]
     assert len(lattice._made) == 2
     assert lattice.members[3] is third and lattice.members[-1] is top
     assert lattice.member(3) is third and lattice.bottom is lattice.members[0]
