@@ -64,7 +64,7 @@ from .textio import (
     document_from_poset,
     parse_poset,
 )
-from .dot import emit_lattice_dot, emit_poset_dot, support_label
+from .dot import emit_lattice_dot, emit_poset_dot, support_label, write_lattice_dot
 from .report import build_verification_report, render
 from .cli import run_cli
 
@@ -119,6 +119,7 @@ __all__ = [
     "emit_lattice_dot",
     "emit_poset_dot",
     "support_label",
+    "write_lattice_dot",
     "build_verification_report",
     "render",
     "run_cli",

@@ -11,7 +11,7 @@ import sys
 from . import dual as dual_mod
 from . import ideals as ideals_mod
 from . import seconddual as sd_mod
-from .dot import emit_lattice_dot, emit_poset_dot, support_label
+from .dot import emit_poset_dot, support_label, write_lattice_dot
 from .errors import (
     CycleDetectedError,
     DuplicateElementError,
@@ -118,9 +118,8 @@ def _load(args):
     return doc, build_poset(doc)
 
 
-def _write_dot(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _open_dot(path):
+    return open(path, "w", encoding="utf-8")
 
 
 def _cmd_dual(args, out):
@@ -139,12 +138,8 @@ def _cmd_dual(args, out):
     }
     out.write(render(tree))
     if args.dot:
-        _write_dot(
-            args.dot,
-            emit_lattice_dot(
-                lattice, doc.name, label_embeddings=args.label_embeddings
-            ),
-        )
+        with _open_dot(args.dot) as fh:
+            write_lattice_dot(lattice, fh, doc.name, args.label_embeddings)
     return EXIT_OK
 
 
@@ -212,9 +207,8 @@ def _cmd_verify(args, out):
     )
     out.write(render(tree))
     if args.dot:
-        _write_dot(
-            args.dot, emit_lattice_dot(lattice, doc.name, label_embeddings=True)
-        )
+        with _open_dot(args.dot) as fh:
+            write_lattice_dot(lattice, fh, doc.name, label_embeddings=True)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -222,7 +216,8 @@ def _cmd_hasse(args, out):
     doc, poset = _load(args)
     text = emit_poset_dot(poset, doc.name)
     if args.dot:
-        _write_dot(args.dot, text)
+        with _open_dot(args.dot) as fh:
+            fh.write(text)
     else:
         out.write(text)
     return EXIT_OK

@@ -4,6 +4,7 @@ Plain digraphs only: quoted node ids, optional label attributes, and
 lower -> upper cover edges.
 """
 
+import io
 import re
 from itertools import compress, count
 
@@ -13,16 +14,13 @@ from .poset import _digits, transitive_reduction
 
 _DOT_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
-
-
-def _set_label(names, support):
-    # '{a,b}' or '{}': the names at the support's set bits.
-    return "{" + ",".join(_support_elements(names, support)) + "}"
+# Lines per write of a lattice DOT.
+_BLOCK_LINES = 1 << 12
 
 
 def support_label(x):
     """Stable set notation for a member's support, e.g. '{a,b}' or '{}'."""
-    return _set_label(x.base.elements, x.support)
+    return "{" + ",".join(_support_elements(x.base.elements, x.support)) + "}"
 
 
 def _escape(text):
@@ -55,11 +53,11 @@ def _cover_edges(lattice):
     # it adds one bit to supports that lack it; so the k-th members of the
     # two masks are joined. The pairing is checked, so a member family
     # that is not a lattice of up-sets gets its true edges or an error.
-    supports = lattice.supports
+    supports = lattice.supports.tolist()
     # Each edge line is a lower head plus an upper tail, spelled once per
     # member rather than once per edge.
     heads = [f'  "m{i}" -> "m' for i in range(len(supports))]
-    tails = [f'{j}";' for j in range(len(supports))]
+    tails = [f'{j}";\n' for j in range(len(supports))]
     edges = []
     covers = zip(lattice.base.elements, *lattice.cover_masks)
     for p, (e, outside, inside) in enumerate(covers):
@@ -77,39 +75,73 @@ def _cover_edges(lattice):
                     f"member m{j} is not member m{i} plus {e!r}",
                     counterexample=(i, j),
                 )
-            edges.append(heads[i] + tails[j])
+        edges += [heads[i] + tails[j] for i, j in zip(lower, upper)]
     # '"' sorts before every digit, so this is the order of (lower id,
     # upper id) as strings.
     edges.sort()
     return edges
 
 
-def emit_lattice_dot(lattice, name="L", label_embeddings=False):
-    """DOT digraph of the lattice's Hasse diagram.
+class _Spelled(dict):
+    # {half of a support: the names at its set bits, each followed by ','},
+    # each value spelled on its first lookup.
+    def __init__(self, names):
+        super().__init__()
+        self.names = [f"{e}," for e in names]
 
-    With label_embeddings, members that equal an embedded base element
-    carry a trailing annotation such as 'λ:a,υ:b'. Labels are spelled
-    from the supports and edges paired from the cover masks, so no
-    member object is made; edges are sorted by node id string. Raises
-    LemmaViolationError when the cover masks do not pair up, which the
-    up-sets of the base always do.
+    def __missing__(self, half):
+        text = self[half] = "".join(compress(self.names, _digits(half)))
+        return text
+
+
+def write_lattice_dot(lattice, fh, name="L", label_embeddings=False):
+    """Write the DOT digraph of the lattice's Hasse diagram to the text
+    file fh.
+
+    The header, one node per member in canonical order, and the edges
+    sorted by node id string are written in blocks of _BLOCK_LINES
+    lines; neither the diagram nor its node lines are ever held whole.
+    A node's label names its support's elements, '{a,b}' or '{}', joined
+    from the support's low and high halves, each half spelled once per
+    distinct value. With label_embeddings, members that equal an
+    embedded base element carry a trailing annotation such as
+    'λ:a,υ:b'. Edges are paired from the cover masks, so no member
+    object is made. Raises LemmaViolationError, before anything is
+    written, when the cover masks do not pair up, which the up-sets of
+    the base always do.
     """
-    names = tuple(map(_escape, lattice.base.elements))
-    annotations = {}
+    edges = _cover_edges(lattice)
+    base, supports = lattice.base, lattice.supports
+    tags = {}
     if label_embeddings:
         lambdas, upsilons = lattice.witness_tables
         for support, p in lambdas.items():
-            annotations.setdefault(support, []).append(f"λ:{_escape(p)}")
+            tags.setdefault(support, []).append(f"λ:{_escape(p)}")
         for support, p in upsilons.items():
-            annotations.setdefault(support, []).append(f"υ:{_escape(p)}")
+            tags.setdefault(support, []).append(f"υ:{_escape(p)}")
+    notes = {support: " " + ",".join(t) for support, t in tags.items()}
+    names = tuple(map(_escape, base.elements))
+    half = base.n // 2
+    low_mask = (1 << half) - 1
+    low, high = _Spelled(names[:half]), _Spelled(names[half:])
 
-    lines = [f"digraph {_graph_id(name)} {{"]
-    for i, support in enumerate(lattice.supports):
-        label = _set_label(names, support)
-        notes = annotations.get(support)
-        if notes:
-            label = f"{label} {','.join(notes)}"
-        lines.append(f'  "m{i}" [label="{label}"];')
-    lines += _cover_edges(lattice)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    fh.write(f"digraph {_graph_id(name)} {{\n")
+    # A label is '{', the two halves' names less the last ',', and '}'.
+    for start in range(0, len(supports), _BLOCK_LINES):
+        block = supports[start : start + _BLOCK_LINES]
+        fh.write("".join([
+            f'  "m{i}" [label="{{{(low[s & low_mask] + high[s >> half])[:-1]}}}'
+            f'{notes.get(s, "")}"];\n'
+            for i, s in zip(count(start), block)
+        ]))
+    for start in range(0, len(edges), _BLOCK_LINES):
+        fh.write("".join(edges[start : start + _BLOCK_LINES]))
+    fh.write("}\n")
+
+
+def emit_lattice_dot(lattice, name="L", label_embeddings=False):
+    """The text write_lattice_dot writes, as one string, for callers
+    that want it in memory; the CLI writes its files block by block."""
+    buffer = io.StringIO()
+    write_lattice_dot(lattice, buffer, name, label_embeddings)
+    return buffer.getvalue()

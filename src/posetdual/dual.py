@@ -105,6 +105,8 @@ class DualLattice:
     def _setup(self, base, supports):
         self.base = base
         self.supports = supports
+        # Member-index mask of every member, read by most mask operations.
+        self.full_member_mask = (1 << len(supports)) - 1
         # {index: member object} of those made so far, until `members`
         # makes them all.
         self._made = {}
@@ -145,10 +147,6 @@ class DualLattice:
     @property
     def top(self):
         return self.member(len(self.supports) - 1)
-
-    @property
-    def full_member_mask(self):
-        return (1 << len(self.supports)) - 1
 
     @property
     def columns(self):

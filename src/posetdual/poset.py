@@ -86,6 +86,16 @@ def _bits(mask):
         mask ^= low
 
 
+def _subsets_in(masks, mask):
+    """Bitmask of the indices j whose masks[j] is a subset of mask."""
+    outside = ~mask
+    inside = 0
+    for j, m in enumerate(masks):
+        if not m & outside:
+            inside |= 1 << j
+    return inside
+
+
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 

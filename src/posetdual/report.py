@@ -9,7 +9,7 @@ from . import dual as dual_mod
 from . import ideals as ideals_mod
 from . import seconddual as sd_mod
 from .dot import support_label
-from .poset import _bits
+from .poset import _bits, _subsets_in
 
 
 def render(tree):
@@ -85,14 +85,18 @@ def _check_embedding_characterization(lattice, witnesses):
 
 
 def _check_embedding_order(lattice, witnesses):
-    # p <= q iff lambda_q <= lambda_p iff upsilon_q <= upsilon_p.
-    supports = lattice.supports
-    pairs = [(p, supports[lam], supports[ups]) for p, (lam, ups) in witnesses.items()]
-    for i, (p, lam_p, ups_p) in enumerate(pairs):
-        for j, (q, lam_q, ups_q) in enumerate(pairs):
-            expected = lattice.base.leq_index(i, j)
-            if (lam_q & ~lam_p == 0) != expected or (ups_q & ~ups_p == 0) != expected:
-                return False, f"p={p} q={q}"
+    # p <= q iff lambda_q <= lambda_p iff upsilon_q <= upsilon_p: per p, the
+    # q whose lambda_q lies in lambda_p, and those whose upsilon_q lies in
+    # upsilon_p, are each the up-set of p; the lowest q off it is reported.
+    base, supports = lattice.base, lattice.supports
+    lambdas = [supports[lam] for lam, _ in witnesses.values()]
+    upsilons = [supports[ups] for _, ups in witnesses.values()]
+    for p, lam_p, ups_p, up in zip(witnesses, lambdas, upsilons, base.up_masks):
+        wrong = _subsets_in(lambdas, lam_p) ^ up
+        wrong |= _subsets_in(upsilons, ups_p) ^ up
+        if wrong:
+            q = base.elements[(wrong & -wrong).bit_length() - 1]
+            return False, f"p={p} q={q}"
     return True, None
 
 

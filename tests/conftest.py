@@ -10,6 +10,9 @@ from itertools import combinations, product
 
 from posetdual import (
     BoundedHom,
+    NoWitnessError,
+    hom_leq,
+    point_of_hom,
     poset_from_relations,
     random_poset,
     transitive_reduction,
@@ -192,13 +195,16 @@ def embedding_characterization_scan(lattice):
     return True, None
 
 
-def embedding_order_scan(lattice):
+def embedding_order_scan(lattice, witnesses=None):
     """(ok, payload) of the embedding_order check, pair by pair and
     element by element: p <= q iff lambda_q <= lambda_p pointwise, iff
-    upsilon_q <= upsilon_p."""
-    witnesses, missing = witnesses_scan(lattice)
-    if missing:
-        return False, missing
+    upsilon_q <= upsilon_p. The witnesses, [(p, support of lambda_p,
+    support of upsilon_p)] in element order, are witnesses_scan's unless
+    given."""
+    if witnesses is None:
+        witnesses, missing = witnesses_scan(lattice)
+        if missing:
+            return False, missing
     n = lattice.base.n
     for i, (p, lam_p, ups_p) in enumerate(witnesses):
         for j, (q, lam_q, ups_q) in enumerate(witnesses):
@@ -248,6 +254,27 @@ def homs_by_all_maps(lattice):
             homs.append(BoundedHom(lattice, kernel_top))
     homs.sort(key=lambda h: lattice.member_index(h.kernel_top))
     return homs
+
+
+def isomorphism_failures_scan(lattice, forward):
+    """verify_isomorphism's failures, brute force aside, for the homs
+    forward[p]: each element's round trip through point_of_hom, then
+    hom_leq(forward[p], forward[q]) against p <= q, pair by pair."""
+    poset = lattice.base
+    failures = []
+    for p, hom in forward.items():
+        try:
+            q = point_of_hom(lattice, hom)
+        except NoWitnessError:
+            q = None
+        if q != p:
+            failures.append(f"round trip broke at {p!r} (got {q!r})")
+    for p in poset.elements:
+        for q in poset.elements:
+            expected = poset.leq_index(poset.index(p), poset.index(q))
+            if hom_leq(forward[p], forward[q]) != expected:
+                failures.append(f"order embedding broke at ({p!r}, {q!r})")
+    return failures
 
 
 def satisfies_hom_definition(lattice, values):
@@ -329,17 +356,21 @@ def lattice_dot_scan(lattice, name="L", label_embeddings=False):
     """The lattice DOT built member by member: each label from the
     member's elements, each upper cover U | {p} for p maximal outside U
     looked up by support (KeyError when missing), edges sorted as
-    (lower id, upper id) pairs. Names are written unescaped."""
+    (lower id, upper id) pairs. A backslash or quote in an element name
+    is escaped with a backslash."""
     base = lattice.base
+    names = [
+        str(e).replace("\\", "\\\\").replace('"', '\\"') for e in base.elements
+    ]
     annotations = {}
     if label_embeddings:
-        for p, down in zip(base.elements, base.down_masks):
+        for p, down in zip(names, base.down_masks):
             annotations.setdefault(base.full_mask & ~down, []).append(f"λ:{p}")
-        for p, up in zip(base.elements, base.up_masks):
+        for p, up in zip(names, base.up_masks):
             annotations.setdefault(up, []).append(f"υ:{p}")
     lines = [f"digraph {_graph_id(name)} {{"]
     for i, x in enumerate(lattice.members):
-        label = "{" + ",".join(base.elements[k] for k in _bits(x.support)) + "}"
+        label = "{" + ",".join(names[k] for k in _bits(x.support)) + "}"
         notes = annotations.get(x.support)
         if notes:
             label = f"{label} {','.join(notes)}"
@@ -510,3 +541,17 @@ def random_suite(count=200, max_n=6):
         density = (seed * 7 % 11) / 10.0
         out.append(random_poset(n, seed, density))
     return out
+
+
+def chain(n, max_elements=64):
+    """c0 < c1 < ... < c(n-1): n + 1 up-sets."""
+    names = [f"c{i}" for i in range(n)]
+    return poset_from_relations(names, zip(names, names[1:]), max_elements)
+
+
+def fence(n):
+    """e0 < e1 > e2 < e3 ...: its up-sets are the independent sets of a
+    path on n vertices, F(n + 2) of them."""
+    pairs = [(f"e{i}", f"e{i + 1}") if i % 2 == 0 else (f"e{i + 1}", f"e{i}")
+             for i in range(n - 1)]
+    return poset_from_relations([f"e{i}" for i in range(n)], pairs)

@@ -8,8 +8,16 @@ from pathlib import Path
 import pytest
 
 import posetdual
-from posetdual import LemmaViolationError, run_cli
+from posetdual import (
+    LemmaViolationError,
+    build_poset,
+    emit_lattice_dot,
+    enumerate_dual,
+    parse_poset,
+    run_cli,
+)
 from posetdual import cli as cli_mod
+from posetdual import dot as dot_mod
 from posetdual import dual as dual_mod
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_posets"
@@ -44,6 +52,26 @@ def test_dual_emits_dot(tmp_path):
     assert "members: 4" in out
     text = dot.read_text()
     assert text.count("->") == 4
+
+
+@pytest.mark.parametrize("block", [3, 1 << 12])
+def test_dot_files_are_the_lattice_dot_text(tmp_path, monkeypatch, block):
+    rand = tmp_path / "r9.poset"
+    assert run(["random", "9", "--density", "0.2", "--out", str(rand)])[0] == 0
+    monkeypatch.setattr(dot_mod, "_BLOCK_LINES", block)
+    for path in [rand] + sorted(SAMPLES.glob("*.poset")):
+        doc = parse_poset(path.read_text())
+        lattice = enumerate_dual(build_poset(doc))
+        dot = tmp_path / "out.dot"
+        for argv, labels in (
+            (["verify"], True),
+            (["dual", "--label-embeddings"], True),
+            (["dual"], False),
+        ):
+            argv += [str(path), "--dot", str(dot)]
+            assert run(argv)[0] == 0
+            expected = emit_lattice_dot(lattice, doc.name, labels)
+            assert dot.read_bytes() == expected.encode("utf-8"), argv
 
 
 def test_corruption_harness_exits_one():

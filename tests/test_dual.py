@@ -25,7 +25,9 @@ from posetdual import dual as dual_mod
 from posetdual.dual import _count_upsets, _irreducible_masks, _walk_upset_buckets
 
 from conftest import (
+    chain,
     evaluation_columns_scan,
+    fence,
     greatest_below,
     greatest_lower_bound_scan,
     least_above,
@@ -80,14 +82,6 @@ def test_members_match_subset_filter():
 
 def antichain(n):
     return poset_from_relations([f"e{i}" for i in range(n)], [])
-
-
-def fence(n):
-    # e0 < e1 > e2 < e3 ...: its up-sets are the independent sets of a
-    # path on n vertices, F(n + 2) of them.
-    pairs = [(f"e{i}", f"e{i + 1}") if i % 2 == 0 else (f"e{i + 1}", f"e{i}")
-             for i in range(n - 1)]
-    return poset_from_relations([f"e{i}" for i in range(n)], pairs)
 
 
 def grid(rows, cols):
@@ -234,11 +228,6 @@ def test_columns_are_member_values():
     for p in random_suite(count=40) + [random_poset(16, 14, 0.1), antichain13]:
         lattice = enumerate_dual(p)
         assert lattice.columns == evaluation_columns_scan(lattice)
-
-
-def chain(n, max_elements=64):
-    names = [f"c{i}" for i in range(n)]
-    return poset_from_relations(names, zip(names, names[1:]), max_elements)
 
 
 def test_columns_at_row_byte_edges():

@@ -15,6 +15,7 @@ included, from both sides, and the report fails them without raising.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -35,15 +36,23 @@ from posetdual import (
     random_poset,
     transitive_reduction,
     upsilon_of,
+    write_lattice_dot,
 )
+from posetdual import dot as dot_mod
 from posetdual import dual as dual_mod
 from posetdual.poset import _bits
-from posetdual.report import _check_upset_closure
+from posetdual.report import (
+    _check_embedding_order,
+    _check_upset_closure,
+    _witness_indices,
+)
 
 from conftest import (
+    chain,
     complementary_pairs_scan,
     embedding_characterization_scan,
     embedding_order_scan,
+    fence,
     greatest_below,
     greatest_lower_bound_scan,
     homs_by_all_maps,
@@ -253,12 +262,89 @@ def shuffled_lattices():
     return [enumerate_dual(_shuffled_poset(rng, rng.randint(0, 9))) for _ in range(60)]
 
 
-def test_lattice_dot_matches_member_scan(fixture_lattices, shuffled_lattices):
-    for lattice in fixture_lattices + shuffled_lattices:
+def test_embedding_order_check_on_swapped_witnesses(lattices):
+    # The report finds the true lambda_p and upsilon_p in any family that
+    # holds them, so the check can fail only on witnesses handed to it:
+    # here two elements' lambda (or upsilon) members are swapped.
+    verdicts = set()
+    for lattice in lattices:
+        supports = lattice.supports
+        witnesses, _ = _witness_indices(lattice)
+        elements = list(witnesses)
+        for a, b in zip(elements, elements[1:]):
+            for side in (0, 1):
+                swapped = {p: list(pair) for p, pair in witnesses.items()}
+                swapped[a][side] = witnesses[b][side]
+                swapped[b][side] = witnesses[a][side]
+                verdict = _check_embedding_order(lattice, swapped)
+                as_supports = [
+                    (p, supports[lam], supports[ups])
+                    for p, (lam, ups) in swapped.items()
+                ]
+                assert verdict == embedding_order_scan(lattice, as_supports)
+                verdicts.add((side, verdict[0]))
+    assert verdicts == {(0, False), (1, False), (0, True), (1, True)}
+
+
+# Base sizes around 16, 32 and 64 elements, where each half of a
+# support spans 8, 16 or 32 bits, and the smallest; a fence of n
+# elements has F(n + 2) up-sets.
+DOT_SIZES = (0, 1, 2, 15, 16, 17, 31, 32, 33, 63, 64)
+FENCE_CAP = 17
+
+
+def _renamed(poset, names):
+    # The same order over other element names.
+    rename = dict(zip(poset.elements, names))
+    pairs = transitive_reduction(poset).pairs
+    return poset_from_relations(names, [(rename[a], rename[b]) for a, b in pairs])
+
+
+@pytest.fixture(scope="module")
+def dot_lattices():
+    posets = []
+    for n in DOT_SIZES:
+        posets.append(chain(n))
+        if n <= FENCE_CAP:
+            posets.append(fence(n))
+        posets.append(random_poset(n, n, 0.3))
+    # Names DOT must escape, in labels and in the λ/υ annotations.
+    posets.append(poset_from_relations(['a"b', "c\\"], []))
+    posets.append(
+        _renamed(random_poset(6, 1, 0.2), ['a"0', "b\\1", 'c\\"2', "d", '"', "\\"])
+    )
+    return [enumerate_dual(p) for p in posets]
+
+
+def test_lattice_dot_matches_member_scan(
+    fixture_lattices, shuffled_lattices, dot_lattices
+):
+    sizes = set()
+    for lattice in fixture_lattices + shuffled_lattices + dot_lattices:
+        sizes.add(lattice.base.n)
         for labels in (False, True):
             assert emit_lattice_dot(lattice, "L", labels) == lattice_dot_scan(
                 lattice, "L", labels
             )
+    assert sizes >= set(DOT_SIZES)
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_lattice_dot_is_written_in_blocks(monkeypatch, dot_lattices, block):
+    texts = [
+        (lattice, labels, emit_lattice_dot(lattice, "L", labels))
+        for lattice in dot_lattices
+        for labels in (False, True)
+    ]
+    monkeypatch.setattr(dot_mod, "_BLOCK_LINES", block)
+    for lattice, labels, text in texts:
+        writes = []
+        write_lattice_dot(lattice, SimpleNamespace(write=writes.append), "L", labels)
+        assert "".join(writes) == text
+        # The header, the node and edge blocks, and the closing brace.
+        m, edges = len(lattice), text.count("->")
+        assert len(writes) == 2 + -(-m // block) + -(-edges // block)
+        assert max(w.count("\n") for w in writes) <= block
 
 
 def test_lattice_dot_on_corrupted_lattices_is_scan_or_error():

@@ -17,9 +17,15 @@ from posetdual import (
     support_label,
     verify_isomorphism,
 )
+from posetdual import seconddual as sd_mod
 from posetdual.seconddual import _down_rows, _ones_mask_checker
 
-from conftest import poset_catalog, random_suite, satisfies_hom_definition
+from conftest import (
+    isomorphism_failures_scan,
+    poset_catalog,
+    random_suite,
+    satisfies_hom_definition,
+)
 
 
 def make(elements, pairs):
@@ -219,3 +225,33 @@ def test_hom_order_is_reverse_kernel_inclusion():
                     & ~lambda_of(lattice, a).support
                     == 0
                 )
+
+
+def test_isomorphism_failures_match_pairwise_scan(monkeypatch):
+    # evaluation_hom hands elements a and b each other's hom, so the round
+    # trip breaks at both and the order embedding wherever they differ.
+    real = sd_mod.evaluation_hom
+    swap = {}
+
+    def swapped(lattice, element):
+        return real(lattice, swap.get(element, element))
+
+    monkeypatch.setattr(sd_mod, "evaluation_hom", swapped)
+    posets = poset_catalog(3) + random_suite(count=40) + [random_poset(40, 0, 0.15)]
+    broken = 0
+    for p in posets:
+        lattice = enumerate_dual(p)
+        pairs = [(a, b) for a in p.elements for b in p.elements if a < b]
+        for a, b in [(None, None)] + pairs[:3] + pairs[-2:]:
+            swap.clear()
+            if a is not None:
+                swap.update({a: b, b: a})
+            report = verify_isomorphism(lattice)
+            assert report.failures == tuple(
+                isomorphism_failures_scan(lattice, report.forward)
+            )
+            assert report.order_preserved_ok == (
+                not any(f.startswith("order embedding") for f in report.failures)
+            )
+            broken += not report.order_preserved_ok
+    assert broken > 50
