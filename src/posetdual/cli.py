@@ -99,8 +99,6 @@ def _build_parser():
                 action="store_true",
                 help="annotate DOT nodes that embed base elements",
             )
-        if cmd == "verify":
-            p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
 
     p = sub.add_parser("random", help="emit a random poset file")
     p.add_argument("n", type=element_count, help="number of elements")
@@ -200,10 +198,7 @@ def _cmd_verify(args, out):
     doc, poset = _load(args)
     lattice = dual_mod.enumerate_dual(poset, max_members=args.max_members)
     tree, ok = build_verification_report(
-        doc.name,
-        lattice,
-        use_bruteforce=args.brute_force,
-        corrupt=args.corrupt,
+        doc.name, lattice, use_bruteforce=args.brute_force
     )
     out.write(render(tree))
     if args.dot:

@@ -112,15 +112,15 @@ def write_lattice_dot(lattice, fh, name="L", label_embeddings=False):
     """
     edges = _cover_edges(lattice)
     base, supports = lattice.base, lattice.supports
+    names = tuple(map(_escape, base.elements))
+    # {member index: its λ/υ annotations}, λ first, each in element order.
     tags = {}
     if label_embeddings:
-        lambdas, upsilons = lattice.witness_tables
-        for support, p in lambdas.items():
-            tags.setdefault(support, []).append(f"λ:{_escape(p)}")
-        for support, p in upsilons.items():
-            tags.setdefault(support, []).append(f"υ:{_escape(p)}")
-    notes = {support: " " + ",".join(t) for support, t in tags.items()}
-    names = tuple(map(_escape, base.elements))
+        for sign, indices in zip("λυ", lattice.witnesses):
+            for p, i in zip(names, indices):
+                if i is not None:
+                    tags.setdefault(i, []).append(f"{sign}:{p}")
+    notes = {i: " " + ",".join(t) for i, t in tags.items()}
     half = base.n // 2
     low_mask = (1 << half) - 1
     low, high = _Spelled(names[:half]), _Spelled(names[half:])
@@ -131,7 +131,7 @@ def write_lattice_dot(lattice, fh, name="L", label_embeddings=False):
         block = supports[start : start + _BLOCK_LINES]
         fh.write("".join([
             f'  "m{i}" [label="{{{(low[s & low_mask] + high[s >> half])[:-1]}}}'
-            f'{notes.get(s, "")}"];\n'
+            f'{notes.get(i, "")}"];\n'
             for i, s in zip(count(start), block)
         ]))
     for start in range(0, len(edges), _BLOCK_LINES):

@@ -68,20 +68,22 @@ class DualLattice:
     whose members are never reached holds no per-member slot; each member
     has exactly one object however it is reached. The support -> index map
     is likewise built on the first lookup by support: from sup_of/inf_of,
-    lambda_of/upsilon_of, check_member and member_index, or the
-    brute-force hom oracle. `verify` without that oracle, `second-dual`
-    and the DOT make none.
+    check_member and member_index, or the brute-force hom oracle.
+    `verify` without that oracle, `second-dual` and the DOT make none.
     `columns[p]` is the member-index mask of the members whose support
     holds base element p, i.e. the preimage of 1 under evaluation at p;
     evaluation homs and the principal ideal and filter of a set of
     members, `ideal_of(mask)` and `filter_of(mask)`, are read from it in
     O(n) big-int operations, and the Hasse covers, `cover_masks`, in
-    O(n^2). The columns, the cover masks and the base elements' witness
-    supports, `witness_tables`, are each built once, on first use. The
-    rows are 64 bits wide, so the base has at most DEFAULT_MAX_ELEMENTS
-    (64) elements (else TooLargeError), and there must be at least one
-    support, each lying in it (else BaseMismatchError): every up-set
-    lattice holds the empty set. Immutable after construction.
+    O(n^2). `witnesses` holds the member indices of λ_p and υ_p per base
+    element, read off the columns; lambda_of/upsilon_of, irreducibles,
+    the prime pairs, the report and the DOT annotations all read it. The
+    columns, the cover masks and the witnesses are each built once, on
+    first use. The rows are 64 bits wide, so the base has at most
+    DEFAULT_MAX_ELEMENTS (64) elements (else TooLargeError), and there
+    must be at least one support, each lying in it (else
+    BaseMismatchError): every up-set lattice holds the empty set.
+    Immutable after construction.
     """
 
     def __init__(self, base, support_masks):
@@ -111,9 +113,6 @@ class DualLattice:
         # makes them all.
         self._made = {}
         self._members = None
-        self._columns = None
-        self._cover_masks = None
-        self._witness_tables = None
 
     def __len__(self):
         return len(self.supports)
@@ -148,53 +147,54 @@ class DualLattice:
     def top(self):
         return self.member(len(self.supports) - 1)
 
-    @property
+    @cached_property
     def columns(self):
         """columns[p]: member-index mask of the supports holding element p."""
-        if self._columns is None:
-            self._columns = _transpose_rows(self.supports, self.base.n)
-        return self._columns
+        return _transpose_rows(self.supports, self.base.n)
 
-    @property
+    @cached_property
     def cover_masks(self):
         """(outside, inside): per base element p, the member-index masks
         M_p = ~col[p] & AND{col[q] : q > p}, the members with p maximal
         outside, and J_p = col[p] & ~OR{col[q] : q < p}, those with p
         minimal inside. For an up-set U these are the p with an upper
         cover U | {p} and a lower cover U - {p} (Birkhoff)."""
-        if self._cover_masks is None:
-            columns = self.columns
-            full = self.full_member_mask
-            base = self.base
-            outside, inside = [], []
-            for p, (column, up, down) in enumerate(
-                zip(columns, base.up_masks, base.down_masks)
-            ):
-                above, below = full, 0
-                for q in _bits(up & ~(1 << p)):
-                    above &= columns[q]
-                for q in _bits(down & ~(1 << p)):
-                    below |= columns[q]
-                outside.append(above & ~column)
-                inside.append(column & ~below)
-            self._cover_masks = tuple(outside), tuple(inside)
-        return self._cover_masks
+        columns = self.columns
+        full = self.full_member_mask
+        base = self.base
+        outside, inside = [], []
+        for p, (column, up, down) in enumerate(
+            zip(columns, base.up_masks, base.down_masks)
+        ):
+            above, below = full, 0
+            for q in _bits(up & ~(1 << p)):
+                above &= columns[q]
+            for q in _bits(down & ~(1 << p)):
+                below |= columns[q]
+            outside.append(above & ~column)
+            inside.append(column & ~below)
+        return tuple(outside), tuple(inside)
 
-    @property
-    def witness_tables(self):
-        """({λ_p support: p}, {υ_p support: p}) over the base elements.
+    @cached_property
+    def witnesses(self):
+        """(lambdas, upsilons): per base element p, in element order, the
+        member index of λ_p, the map vanishing exactly on ↓p, and of υ_p,
+        the map supported on ↑p; None where no member has that support.
 
-        λ_p is supported off the down-set of p and υ_p on its up-set; both
-        maps are in element order and have one entry per element.
+        Canonical order puts λ_p last among the members without p and υ_p
+        first among those with it. Only a family that is not the up-sets
+        of its base can hold them elsewhere, and only then are the
+        supports scanned.
         """
-        if self._witness_tables is None:
-            base = self.base
-            full = base.full_mask
-            lambdas = {
-                full & ~down: p for p, down in zip(base.elements, base.down_masks)
-            }
-            self._witness_tables = lambdas, dict(zip(base.up_masks, base.elements))
-        return self._witness_tables
+        base, supports = self.base, self.supports
+        lambdas, upsilons = [], []
+        for column, down, up in zip(self.columns, base.down_masks, base.up_masks):
+            outside = self.full_member_mask & ~column
+            lambdas.append(
+                _located(supports, outside.bit_length() - 1, base.full_mask & ~down)
+            )
+            upsilons.append(_located(supports, (column & -column).bit_length() - 1, up))
+        return tuple(lambdas), tuple(upsilons)
 
     @cached_property
     def _member_index(self):
@@ -236,6 +236,16 @@ def _check_width(base):
         raise TooLargeError(
             f"dual lattice over {base.n} elements, cap is {DEFAULT_MAX_ELEMENTS}"
         )
+
+
+def _located(supports, i, support):
+    """i if supports[i] is the support, else its first index, or None."""
+    if i >= 0 and supports[i] == support:
+        return i
+    try:
+        return supports.index(support)
+    except ValueError:
+        return None
 
 
 def _transpose_rows(rows, n):
@@ -475,15 +485,22 @@ def inf_of(lattice, maps):
     return lattice.member(lattice.index_of_support(inter))
 
 
+def _witness(lattice, side, element):
+    # KeyError, as for any support the lattice lacks, when there is none.
+    i = lattice.witnesses[side][lattice.base.index(element)]
+    if i is None:
+        raise KeyError(element)
+    return lattice.member(i)
+
+
 def lambda_of(lattice, element):
     """The member vanishing exactly on the down-set of the element."""
-    support = lattice.base.full_mask & ~lattice.base.down_mask(element)
-    return lattice.member(lattice.index_of_support(support))
+    return _witness(lattice, 0, element)
 
 
 def upsilon_of(lattice, element):
     """The member supported exactly on the up-set of the element."""
-    return lattice.member(lattice.index_of_support(lattice.base.up_mask(element)))
+    return _witness(lattice, 1, element)
 
 
 @dataclass(frozen=True)
@@ -516,32 +533,32 @@ def _irreducible_masks(lattice):
     return meet_once & ~meet_twice, join_once & ~join_twice
 
 
-def _match_witnesses(lattice, found, witness, side):
+def _match_witnesses(lattice, found, indices, supports, side):
     # The found irreducibles (a member-index mask) must be exactly the
-    # members whose supports the witness table names. Each found support
-    # is a witness and no two are equal, so one is missing iff fewer were
-    # found; only then are the supports scanned, to name the first.
-    members = tuple(map(lattice.member, _bits(found)))
-    matched = {}
-    for x in members:
-        if x.support not in witness:
-            raise LemmaViolationError(
-                f"{side}-irreducible member has no base-element witness",
-                counterexample=x,
-            )
-        matched[x] = witness[x.support]
-    if len(matched) < len(witness):
-        found_supports = {x.support for x in members}
-        support, p = next((s, p) for s, p in witness.items() if s not in found_supports)
-        if support not in lattice.supports:
+    # members at the witness indices: a member found elsewhere is reported
+    # first, lowest index first, then the first element whose witness is
+    # missing or was not found.
+    elements = lattice.base.elements
+    element_at = {i: p for p, i in zip(elements, indices) if i is not None}
+    extra = found & ~sum(1 << i for i in element_at)
+    if extra:
+        raise LemmaViolationError(
+            f"{side}-irreducible member has no base-element witness",
+            counterexample=lattice.member((extra & -extra).bit_length() - 1),
+        )
+    for p, i, support in zip(elements, indices, supports):
+        if i is None:
             raise LemmaViolationError(
                 f"embedded element {p!r} has no member", counterexample=support
             )
-        raise LemmaViolationError(
-            f"embedded element {p!r} gives a reducible member",
-            counterexample=lattice.member(lattice.supports.index(support)),
-        )
-    return members, matched
+        if not found >> i & 1:
+            raise LemmaViolationError(
+                f"embedded element {p!r} gives a reducible member",
+                counterexample=lattice.member(i),
+            )
+    found = list(_bits(found))
+    members = tuple(map(lattice.member, found))
+    return members, dict(zip(members, map(element_at.get, found)))
 
 
 def irreducibles(lattice):
@@ -553,8 +570,12 @@ def irreducibles(lattice):
     Raises LemmaViolationError (an implementation bug by construction) if
     an irreducible lacks a witness or an embedded element is reducible.
     """
-    lambdas, upsilons = lattice.witness_tables
+    base = lattice.base
+    lambdas, upsilons = lattice.witnesses
     meets, joins = _irreducible_masks(lattice)
-    meets, lambda_witness = _match_witnesses(lattice, meets, lambdas, "meet")
-    joins, upsilon_witness = _match_witnesses(lattice, joins, upsilons, "join")
+    off_down = [base.full_mask & ~down for down in base.down_masks]
+    meets, lambda_witness = _match_witnesses(lattice, meets, lambdas, off_down, "meet")
+    joins, upsilon_witness = _match_witnesses(
+        lattice, joins, upsilons, base.up_masks, "join"
+    )
     return IrreducibleReport(meets, joins, lambda_witness, upsilon_witness)

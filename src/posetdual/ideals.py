@@ -106,7 +106,9 @@ def prime_principal_pairs(lattice):
     implementation bug by construction).
     """
     full = lattice.full_member_mask
-    lambdas, upsilons = lattice.witness_tables
+    lambdas, upsilons = lattice.witnesses
+    # {member index of λ_p: index of p}
+    lambda_at = {i: k for k, i in enumerate(lambdas) if i is not None}
     meets, _ = _irreducible_masks(lattice)
     pairs = []
     seen_witnesses = set()
@@ -114,13 +116,15 @@ def prime_principal_pairs(lattice):
         rest = full & ~lattice.ideal_of(1 << i)
         least = rest & -rest
         if rest and rest == lattice.filter_of(least):
-            u, v = lattice.member(i), lattice.member(least.bit_length() - 1)
-            p = lambdas.get(u.support)
-            if p is None or upsilons.get(v.support) != p:
+            j = least.bit_length() - 1
+            u, v = lattice.member(i), lattice.member(j)
+            k = lambda_at.get(i)
+            if k is None or upsilons[k] != j:
                 raise LemmaViolationError(
                     "complementary principal pair without a witness",
                     counterexample=(u, v),
                 )
+            p = lattice.base.elements[k]
             pairs.append((u, v, p))
             seen_witnesses.add(p)
     if len(pairs) != lattice.base.n or len(seen_witnesses) != lattice.base.n:

@@ -110,17 +110,14 @@ def _digits(mask):
 
 
 def _transitive_closure(up):
-    n = len(up)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            acc = up[i]
-            for j in _bits(acc):
-                acc |= up[j]
-            if acc != up[i]:
-                up[i] = acc
-                changed = True
+    """Close the reflexive up-rows in place, Warshall's way: once pivot k
+    is done, every row reaching k holds everything k reaches through
+    pivots up to k, so one pass over the pivots closes the relation."""
+    for k in range(len(up)):
+        bit, row = 1 << k, up[k]
+        for i, acc in enumerate(up):
+            if acc & bit:
+                up[i] = acc | row
     return up
 
 

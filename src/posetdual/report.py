@@ -44,38 +44,23 @@ def _lowest_member_label(lattice, mask):
     return support_label(lattice.member((mask & -mask).bit_length() - 1))
 
 
-def _witness_indices(lattice):
-    """({p: [index of λ_p, index of υ_p]} in element order, None), or
-    (None, payload) naming the first element with no member for λ_p (the
-    support off ↓p) or υ_p (the support ↑p).
-
-    Canonical order puts λ_p last among the members without p and υ_p
-    first among those with it. Only a family that is not the up-sets of
-    its base can hold them elsewhere, and only then are supports scanned.
-    """
-    base, supports = lattice.base, lattice.supports
-    found = {}
-    for p, column, down, up in zip(
-        base.elements, lattice.columns, base.down_masks, base.up_masks
-    ):
-        outside = lattice.full_member_mask & ~column
-        for i, support, name in (
-            (outside.bit_length() - 1, base.full_mask & ~down, "lambda"),
-            ((column & -column).bit_length() - 1, up, "upsilon"),
-        ):
-            if i < 0 or supports[i] != support:
-                if support not in supports:
-                    return None, f"p={p} no-{name}"
-                i = supports.index(support)
-            found.setdefault(p, []).append(i)
-    return found, None
+def _missing_witness(lattice):
+    """'p=<e> no-lambda' or 'p=<e> no-upsilon' for the first element, in
+    element order, with no member for λ_p (checked first) or υ_p; else
+    None."""
+    for p, lam, ups in zip(lattice.base.elements, *lattice.witnesses):
+        if lam is None:
+            return f"p={p} no-lambda"
+        if ups is None:
+            return f"p={p} no-upsilon"
+    return None
 
 
 def _check_embedding_characterization(lattice, witnesses):
     # Per element p, the members x where x(p) = 0 and x <= lambda_p
     # disagree, or x(p) = 1 and x >= upsilon_p do.
     full = lattice.full_member_mask
-    for (p, (lam, ups)), column in zip(witnesses.items(), lattice.columns):
+    for p, lam, ups, column in zip(lattice.base.elements, *witnesses, lattice.columns):
         ideal = lattice.ideal_of(1 << lam)
         filt = lattice.filter_of(1 << ups)
         wrong = (full & ~column ^ ideal) | (column ^ filt)
@@ -89,9 +74,8 @@ def _check_embedding_order(lattice, witnesses):
     # q whose lambda_q lies in lambda_p, and those whose upsilon_q lies in
     # upsilon_p, are each the up-set of p; the lowest q off it is reported.
     base, supports = lattice.base, lattice.supports
-    lambdas = [supports[lam] for lam, _ in witnesses.values()]
-    upsilons = [supports[ups] for _, ups in witnesses.values()]
-    for p, lam_p, ups_p, up in zip(witnesses, lambdas, upsilons, base.up_masks):
+    lambdas, upsilons = ([supports[i] for i in side] for side in witnesses)
+    for p, lam_p, ups_p, up in zip(base.elements, lambdas, upsilons, base.up_masks):
         wrong = _subsets_in(lambdas, lam_p) ^ up
         wrong |= _subsets_in(upsilons, ups_p) ^ up
         if wrong:
@@ -105,7 +89,7 @@ def _check_irreducible_covers(lattice, witnesses):
     # on the strict down-set of that element: every member strictly above
     # lambda_p holds p, and the first of them is lambda_p with p added.
     base, supports = lattice.base, lattice.supports
-    for (p, (lam, _)), column in zip(witnesses.items(), lattice.columns):
+    for p, lam, column in zip(base.elements, witnesses[0], lattice.columns):
         above = lattice.filter_of(1 << lam) & ~(1 << lam)
         least = (above & -above).bit_length() - 1
         expected = base.full_mask & ~base.strict_down_mask(p)
@@ -115,8 +99,10 @@ def _check_irreducible_covers(lattice, witnesses):
 
 
 def _check_prime_pairs(lattice, witnesses, pair_report):
+    lambdas, upsilons = witnesses
     for u, v, p in pair_report.pairs:
-        i, j = witnesses[p]
+        k = lattice.base.index(p)
+        i, j = lambdas[k], upsilons[k]
         if lattice.member(i) is not u or lattice.member(j) is not v:
             return False, f"p={p} not-witnesses"
         ideal = ideals_mod.SubsetOfLattice(lattice, lattice.ideal_of(1 << i))
@@ -160,12 +146,7 @@ def _check_upset_closure(lattice):
     return True, None
 
 
-def build_verification_report(
-    name,
-    lattice,
-    use_bruteforce=False,
-    corrupt=False,
-):
+def build_verification_report(name, lattice, use_bruteforce=False):
     """Run every lemma check on one dual lattice and its base poset.
 
     Returns (report tree, all passed). Lemma failures are captured in the
@@ -183,7 +164,8 @@ def build_verification_report(
     record("dual_lattice_closure", *_check_upset_closure(lattice))
     # The checks that read λ_p and υ_p all fail, naming the first element
     # without them, when some are missing.
-    witnesses, missing = _witness_indices(lattice)
+    witnesses = lattice.witnesses
+    missing = _missing_witness(lattice)
     for key, check in (
         ("embedding_characterization", _check_embedding_characterization),
         ("embedding_order", _check_embedding_order),
@@ -216,10 +198,6 @@ def build_verification_report(
     record("second_dual_round_trip", iso.round_trip_ok, failures)
     record("second_dual_order_embedding", iso.order_preserved_ok, failures)
     record("second_dual_brute_force", iso.brute_force_matched, failures)
-
-    if corrupt:
-        # Harness hook: force one failure to exercise the exit-code path.
-        record("second_dual_round_trip", False, "forced failure (harness flag)")
 
     all_ok = "fail" not in checks.values()
     tree = {

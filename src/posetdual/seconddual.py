@@ -132,16 +132,18 @@ def evaluation_hom(lattice, element):
 
 def point_of_hom(lattice, hom):
     """Recover the base element whose evaluation hom this is: the p whose
-    λ_p, the member vanishing exactly on ↓p, is the kernel top."""
+    λ_p, the member vanishing exactly on ↓p, is the kernel top, so that
+    ↓p is the complement of the kernel top's support."""
     if hom.lattice is not lattice:
         raise BaseMismatchError("hom over a different lattice")
-    lambdas, _ = lattice.witness_tables
-    support = hom.kernel_top.support
-    if support in lambdas:
-        return lambdas[support]
-    raise NoWitnessError(
-        f"no base element matches kernel top {hom.kernel_top.support_elements()}"
-    )
+    base = lattice.base
+    try:
+        k = base.down_masks.index(base.full_mask & ~hom.kernel_top.support)
+    except ValueError:
+        raise NoWitnessError(
+            f"no base element matches kernel top {hom.kernel_top.support_elements()}"
+        ) from None
+    return base.elements[k]
 
 
 @dataclass(frozen=True)

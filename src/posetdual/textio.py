@@ -20,7 +20,7 @@ from .errors import (
     ParseError,
     UnknownElementError,
 )
-from .poset import poset_from_relations
+from .poset import poset_from_relations, transitive_reduction
 
 _IDENT = re.compile(r"[A-Za-z0-9_]+\Z")
 _TOKEN = re.compile(r"\S+")
@@ -127,7 +127,5 @@ def build_poset(doc):
 
 def document_from_poset(poset, name):
     """Document for a poset, using its cover pairs as the relation list."""
-    from .poset import transitive_reduction
-
     covers = transitive_reduction(poset)
     return PosetDocument(name, poset.elements, covers.pairs)

@@ -55,6 +55,23 @@ def upset_walk_scan(poset):
     return buckets
 
 
+def transitive_closure_fixpoint(up):
+    """The closure of reflexive up-rows, by OR-ing into each row the rows
+    of its set bits until no row changes."""
+    up = list(up)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(up)):
+            acc = up[i]
+            for j in _bits(acc):
+                acc |= up[j]
+            if acc != up[i]:
+                up[i] = acc
+                changed = True
+    return up
+
+
 def down_mask_scan(poset, j):
     """Bitmask of the elements below element j, by testing every i."""
     return sum(1 << i for i in range(poset.n) if poset.up_masks[i] >> j & 1)
@@ -161,22 +178,30 @@ def upset_closure_scan(lattice):
     return True, None
 
 
+def witness_supports_scan(base):
+    """[(p, support of lambda_p, support of upsilon_p)] in element order:
+    lambda_p is 0 exactly at the q <= p and upsilon_p 1 exactly at the
+    q >= p, both built from the order relation."""
+    return [
+        (
+            p,
+            sum(1 << j for j in range(base.n) if not base.leq_index(j, k)),
+            sum(1 << j for j in range(base.n) if base.leq_index(k, j)),
+        )
+        for k, p in enumerate(base.elements)
+    ]
+
+
 def witnesses_scan(lattice):
-    """([(p, support of lambda_p, support of upsilon_p)] in element order,
-    None), or (None, payload) naming the first element whose lambda_p (0
-    exactly at the q <= p) or upsilon_p (1 exactly at the q >= p) no member
-    has, both built from the order relation and sought among the
-    supports."""
-    base = lattice.base
-    found = []
-    for k, p in enumerate(base.elements):
-        lam = sum(1 << j for j in range(base.n) if not base.leq_index(j, k))
-        ups = sum(1 << j for j in range(base.n) if base.leq_index(k, j))
+    """(witness_supports_scan(lattice.base), None), or (None, payload)
+    naming the first element whose lambda_p, or else upsilon_p, no
+    member has."""
+    found = witness_supports_scan(lattice.base)
+    for p, lam, ups in found:
         if lam not in lattice.supports:
             return None, f"p={p} no-lambda"
         if ups not in lattice.supports:
             return None, f"p={p} no-upsilon"
-        found.append((p, lam, ups))
     return found, None
 
 

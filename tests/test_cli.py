@@ -19,6 +19,7 @@ from posetdual import (
 from posetdual import cli as cli_mod
 from posetdual import dot as dot_mod
 from posetdual import dual as dual_mod
+from posetdual import report as report_mod
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_posets"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -74,8 +75,12 @@ def test_dot_files_are_the_lattice_dot_text(tmp_path, monkeypatch, block):
             assert dot.read_bytes() == expected.encode("utf-8"), argv
 
 
-def test_corruption_harness_exits_one():
-    code, out, _ = run(["verify", str(SAMPLES / "chain2.poset"), "--corrupt"])
+def test_corruption_harness_exits_one(monkeypatch):
+    # A forced check failure takes the exit-1 path.
+    monkeypatch.setattr(
+        report_mod, "_check_upset_closure", lambda lattice: (False, "forced")
+    )
+    code, out, _ = run(["verify", str(SAMPLES / "chain2.poset")])
     assert code == 1
     assert "result: fail" in out
     assert "counterexamples:" in out

@@ -359,6 +359,24 @@ def test_lambda_upsilon_antichain():
     assert upsilon_of(ANTI2, "a") is member(ANTI2, "a")
 
 
+def test_lambda_and_upsilon_read_the_witness_table():
+    # By member index, with no support index; KeyError where the family
+    # lacks the member.
+    lattice = enumerate_dual(random_poset(12, 4, 0.2))
+    for e, lam, ups in zip(lattice.base.elements, *lattice.witnesses):
+        assert lambda_of(lattice, e) is lattice.member(lam)
+        assert upsilon_of(lattice, e) is lattice.member(ups)
+    assert "_member_index" not in vars(lattice)
+    # a < b has the up-sets {}, {b}, {a,b}; {b} is lambda_a and upsilon_b.
+    gapped = DualLattice(CHAIN2.base, [0b00, 0b11])
+    assert lambda_of(gapped, "b") is gapped.bottom
+    assert upsilon_of(gapped, "a") is gapped.top
+    with pytest.raises(KeyError):
+        lambda_of(gapped, "a")
+    with pytest.raises(KeyError):
+        upsilon_of(gapped, "b")
+
+
 def test_lambda_is_downset_complement():
     for p in random_suite(count=30):
         lattice = enumerate_dual(p)
@@ -452,7 +470,7 @@ def test_irreducible_counts_match_base():
 
 
 def test_irreducibles_build_no_support_index():
-    # The witnesses are matched by support; only a missing one is looked up.
+    # The witnesses are matched by member index.
     lattice = enumerate_dual(random_poset(12, 4, 0.2))
     report = irreducibles(lattice)
     assert len(report.meet_irreducibles) == len(report.join_irreducibles) == 12

@@ -4,14 +4,16 @@ Covers and the lattice Hasse diagram are read off the base poset in
 production. Everything `verify` asks of the order is read off the member
 columns, with no support -> index lookup: principal ideals and filters of
 a member set, ideal and filter checks, irreducibles, prime-pair
-candidates, the members that are λ_p and υ_p, and the four report checks
-built on them (up-set closure and completeness, embedding
-characterization and order, irreducible covers). The second dual's homs
-are checked only on the principal-ideal candidates. The oracles in
-conftest rebuild each from the member order or the supports, member by
-member, or, for the homs, from every map on the members. Member families
-that are not the up-sets of their base get the same verdicts, payloads
-included, from both sides, and the report fails them without raising.
+candidates, and the four report checks (up-set closure and completeness,
+embedding characterization and order, irreducible covers). The members
+that are λ_p and υ_p come from one table, `DualLattice.witnesses`, of
+member indices, checked here against supports built from the order
+relation. The second dual's homs are checked only on the principal-ideal
+candidates. The oracles in conftest rebuild each from the member order
+or the supports, member by member, or, for the homs, from every map on
+the members. Member families that are not the up-sets of their base get
+the same verdicts, payloads included, from both sides, and the report
+fails them without raising.
 """
 
 import random
@@ -41,11 +43,7 @@ from posetdual import (
 from posetdual import dot as dot_mod
 from posetdual import dual as dual_mod
 from posetdual.poset import _bits
-from posetdual.report import (
-    _check_embedding_order,
-    _check_upset_closure,
-    _witness_indices,
-)
+from posetdual.report import _check_embedding_order, _check_upset_closure
 
 from conftest import (
     chain,
@@ -68,6 +66,8 @@ from conftest import (
     poset_catalog,
     random_suite,
     upset_closure_scan,
+    witness_supports_scan,
+    witnesses_scan,
 )
 
 SUBSET_CAP = 10
@@ -262,6 +262,41 @@ def shuffled_lattices():
     return [enumerate_dual(_shuffled_poset(rng, rng.randint(0, 9))) for _ in range(60)]
 
 
+def test_witness_indices_match_scan(fixture_lattices, shuffled_lattices):
+    # Each index holds the support the order relation gives lambda_p or
+    # upsilon_p, None stands exactly where no member has it, and the
+    # first None is the one the scan names.
+    complete = set()
+    for lattice in (
+        fixture_lattices
+        + shuffled_lattices
+        + list(_corrupted_lattices(CORRUPTED, seed=11))
+    ):
+        supports = lattice.supports
+        found = [
+            (p, *(None if i is None else supports[i] for i in pair))
+            for p, *pair in zip(lattice.base.elements, *lattice.witnesses)
+        ]
+        expected = [
+            (p, *(s if s in supports else None for s in pair))
+            for p, *pair in witness_supports_scan(lattice.base)
+        ]
+        assert found == expected
+        _, missing = witnesses_scan(lattice)
+        first = next(
+            (
+                f"p={p} no-{side}"
+                for p, lam, ups in found
+                for side, s in (("lambda", lam), ("upsilon", ups))
+                if s is None
+            ),
+            None,
+        )
+        assert first == missing
+        complete.add(missing is None)
+    assert complete == {True, False}
+
+
 def test_embedding_order_check_on_swapped_witnesses(lattices):
     # The report finds the true lambda_p and upsilon_p in any family that
     # holds them, so the check can fail only on witnesses handed to it:
@@ -269,17 +304,15 @@ def test_embedding_order_check_on_swapped_witnesses(lattices):
     verdicts = set()
     for lattice in lattices:
         supports = lattice.supports
-        witnesses, _ = _witness_indices(lattice)
-        elements = list(witnesses)
-        for a, b in zip(elements, elements[1:]):
+        for a in range(lattice.base.n - 1):
             for side in (0, 1):
-                swapped = {p: list(pair) for p, pair in witnesses.items()}
-                swapped[a][side] = witnesses[b][side]
-                swapped[b][side] = witnesses[a][side]
-                verdict = _check_embedding_order(lattice, swapped)
+                swapped = [list(indices) for indices in lattice.witnesses]
+                row = swapped[side]
+                row[a], row[a + 1] = row[a + 1], row[a]
+                verdict = _check_embedding_order(lattice, tuple(swapped))
                 as_supports = [
                     (p, supports[lam], supports[ups])
-                    for p, (lam, ups) in swapped.items()
+                    for p, lam, ups in zip(lattice.base.elements, *swapped)
                 ]
                 assert verdict == embedding_order_scan(lattice, as_supports)
                 verdicts.add((side, verdict[0]))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from posetdual import (
@@ -12,7 +14,14 @@ from posetdual import (
     transitive_reduction,
 )
 
-from conftest import down_mask_scan, find_isomorphism, random_suite
+from posetdual.poset import _bits, _transitive_closure
+
+from conftest import (
+    down_mask_scan,
+    find_isomorphism,
+    random_suite,
+    transitive_closure_fixpoint,
+)
 
 
 def chain(*names):
@@ -29,6 +38,24 @@ def test_two_element_chain():
 def test_closure_forces_transitivity():
     p = poset_from_relations(["a", "b", "c"], [("a", "b"), ("b", "c")])
     assert leq(p, "a", "c")
+
+
+def test_closure_matches_fixpoint_oracle():
+    # Random relation lists, cycles included, over up to 12 elements.
+    rng = random.Random(3)
+    cyclic = 0
+    for _ in range(500):
+        n = rng.randint(0, 12)
+        up = [1 << i for i in range(n)]
+        for _ in range(rng.randint(0, n * n)):
+            up[rng.randrange(n)] |= 1 << rng.randrange(n)
+        expected = transitive_closure_fixpoint(up)
+        assert _transitive_closure(up) == expected
+        cyclic += any(
+            up[j] >> i & 1 for i, row in enumerate(up) for j in _bits(row & ~(1 << i))
+        )
+    # Both kinds are drawn often.
+    assert 50 < cyclic < 450
 
 
 def test_cycle_detected():

@@ -110,10 +110,12 @@ def test_point_of_hom_without_witness():
 
 
 def test_verify_builds_no_support_index():
-    # The round trip reads the witness tables, not the support -> index map.
+    # The round trip reads the base's down-sets, not the support -> index
+    # map or the witness table.
     lattice = enumerate_dual(random_poset(12, 4, 0.2))
     assert verify_isomorphism(lattice).ok
     assert "_member_index" not in vars(lattice)
+    assert "witnesses" not in vars(lattice)
     lattice.index_of_support(0)
     assert "_member_index" in vars(lattice)
 
