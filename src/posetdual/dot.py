@@ -59,11 +59,11 @@ def _cover_edges(lattice):
     heads = [f'  "m{i}" -> "m' for i in range(len(supports))]
     tails = [f'{j}";\n' for j in range(len(supports))]
     edges = []
-    covers = zip(lattice.base.elements, *lattice.cover_masks)
-    for p, (e, outside, inside) in enumerate(covers):
+    covers = zip(lattice.base.elements, lattice.columns, *lattice.strict_bounds)
+    for p, (e, column, above, below) in enumerate(covers):
         bit = 1 << p
-        lower = list(compress(count(), _digits(outside)))
-        upper = list(compress(count(), _digits(inside)))
+        lower = list(compress(count(), _digits(above & ~column)))
+        upper = list(compress(count(), _digits(column & ~below)))
         if len(lower) != len(upper):
             raise LemmaViolationError(
                 f"{len(lower)} members have {e!r} maximal outside "

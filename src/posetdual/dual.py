@@ -74,11 +74,11 @@ class DualLattice:
     holds base element p, i.e. the preimage of 1 under evaluation at p;
     evaluation homs and the principal ideal and filter of a set of
     members, `ideal_of(mask)` and `filter_of(mask)`, are read from it in
-    O(n) big-int operations, and the Hasse covers, `cover_masks`, in
+    O(n) big-int operations, and the Hasse covers, via `strict_bounds`, in
     O(n^2). `witnesses` holds the member indices of λ_p and υ_p per base
     element, read off the columns; lambda_of/upsilon_of, irreducibles,
     the prime pairs, the report and the DOT annotations all read it. The
-    columns, the cover masks and the witnesses are each built once, on
+    columns, the strict bounds and the witnesses are each built once, on
     first use. The rows are 64 bits wide, so the base has at most
     DEFAULT_MAX_ELEMENTS (64) elements (else TooLargeError), and there
     must be at least one support, each lying in it (else
@@ -153,27 +153,25 @@ class DualLattice:
         return _transpose_rows(self.supports, self.base.n)
 
     @cached_property
-    def cover_masks(self):
-        """(outside, inside): per base element p, the member-index masks
-        M_p = ~col[p] & AND{col[q] : q > p}, the members with p maximal
-        outside, and J_p = col[p] & ~OR{col[q] : q < p}, those with p
-        minimal inside. For an up-set U these are the p with an upper
-        cover U | {p} and a lower cover U - {p} (Birkhoff)."""
-        columns = self.columns
-        full = self.full_member_mask
-        base = self.base
-        outside, inside = [], []
-        for p, (column, up, down) in enumerate(
-            zip(columns, base.up_masks, base.down_masks)
-        ):
-            above, below = full, 0
+    def strict_bounds(self):
+        """(above, below): per base element p, the member-index masks
+        AND{col[q] : q > p} and OR{col[q] : q < p}. M_p = above & ~col[p]
+        holds the members with p maximal outside, one per upper cover
+        U | {p}, and J_p = col[p] & ~below those with p minimal inside,
+        one per lower cover U - {p} (Birkhoff). Given λ_p and υ_p, the
+        members below λ_p are ~(col[p] | below) and above υ_p col[p] & above."""
+        columns, base = self.columns, self.base
+        above, below = [], []
+        # A sweep over the base's Hasse covers could make this O(covers).
+        for p, (up, down) in enumerate(zip(base.up_masks, base.down_masks)):
+            meet, join = self.full_member_mask, 0
             for q in _bits(up & ~(1 << p)):
-                above &= columns[q]
+                meet &= columns[q]
             for q in _bits(down & ~(1 << p)):
-                below |= columns[q]
-            outside.append(above & ~column)
-            inside.append(column & ~below)
-        return tuple(outside), tuple(inside)
+                join |= columns[q]
+            above.append(meet)
+            below.append(join)
+        return tuple(above), tuple(below)
 
     @cached_property
     def witnesses(self):
@@ -520,12 +518,13 @@ class IrreducibleReport:
 def _irreducible_masks(lattice):
     """(meet, join): member-index masks of the meet- and join-irreducibles.
 
-    Member U has an upper cover per cover mask M_p holding it and a lower
-    cover per J_p holding it (`DualLattice.cover_masks`). Members in
+    Member U has an upper cover per M_p holding it and a lower cover per
+    J_p holding it, both read off `DualLattice.strict_bounds`. Members in
     exactly one are counted bit-sliced, in O(n) big-int operations.
     """
     meet_once = meet_twice = join_once = join_twice = 0
-    for maximal_outside, minimal_inside in zip(*lattice.cover_masks):
+    for column, above, below in zip(lattice.columns, *lattice.strict_bounds):
+        maximal_outside, minimal_inside = above & ~column, column & ~below
         meet_twice |= meet_once & maximal_outside
         meet_once |= maximal_outside
         join_twice |= join_once & minimal_inside

@@ -113,6 +113,7 @@ def prime_principal_pairs(lattice):
     pairs = []
     seen_witnesses = set()
     for i in _bits(meets):
+        # Not the witnesses: by design, the pairs found here check them.
         rest = full & ~lattice.ideal_of(1 << i)
         least = rest & -rest
         if rest and rest == lattice.filter_of(least):

@@ -165,17 +165,15 @@ def leq(poset, a, b):
 
 
 def transitive_reduction(poset):
-    """Minimal cover pairs whose closure reproduces the poset."""
-    n = poset.n
+    """Minimal cover pairs whose closure reproduces the poset: j covers i
+    when j is strictly above i and strictly above nothing that is."""
+    strict = [up & ~(1 << i) for i, up in enumerate(poset.up_masks)]
     covers = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not poset.leq_index(i, j):
-                continue
-            # (i, j) is a cover unless some k sits strictly between.
-            between = poset.up_masks[i] & ~(1 << i) & ~(1 << j)
-            if not any(poset.leq_index(k, j) for k in _bits(between)):
-                covers.append((poset.elements[i], poset.elements[j]))
+    for e, above in zip(poset.elements, strict):
+        beyond = 0
+        for k in _bits(above):
+            beyond |= strict[k]
+        covers += [(e, poset.elements[j]) for j in _bits(above & ~beyond)]
     covers.sort()
     return CoverRelation(tuple(covers))
 

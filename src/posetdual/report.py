@@ -9,7 +9,7 @@ from . import dual as dual_mod
 from . import ideals as ideals_mod
 from . import seconddual as sd_mod
 from .dot import support_label
-from .poset import _bits, _subsets_in
+from .poset import _subsets_in
 
 
 def render(tree):
@@ -58,12 +58,10 @@ def _missing_witness(lattice):
 
 def _check_embedding_characterization(lattice, witnesses):
     # Per element p, the members x where x(p) = 0 and x <= lambda_p
-    # disagree, or x(p) = 1 and x >= upsilon_p do.
-    full = lattice.full_member_mask
-    for p, lam, ups, column in zip(lattice.base.elements, *witnesses, lattice.columns):
-        ideal = lattice.ideal_of(1 << lam)
-        filt = lattice.filter_of(1 << ups)
-        wrong = (full & ~column ^ ideal) | (column ^ filt)
+    # disagree, or x(p) = 1 and x >= upsilon_p do (DualLattice.strict_bounds).
+    bounds = zip(lattice.base.elements, lattice.columns, *lattice.strict_bounds)
+    for p, column, above, below in bounds:
+        wrong = below & ~column | column & ~above
         if wrong:
             return False, f"x={_lowest_member_label(lattice, wrong)} p={p}"
     return True, None
@@ -90,6 +88,7 @@ def _check_irreducible_covers(lattice, witnesses):
     # lambda_p holds p, and the first of them is lambda_p with p added.
     base, supports = lattice.base, lattice.supports
     for p, lam, column in zip(base.elements, witnesses[0], lattice.columns):
+        # Not strict_bounds: the filter above lambda_p is an AND over P - ↓p.
         above = lattice.filter_of(1 << lam) & ~(1 << lam)
         least = (above & -above).bit_length() - 1
         expected = base.full_mask & ~base.strict_down_mask(p)
@@ -100,18 +99,22 @@ def _check_irreducible_covers(lattice, witnesses):
 
 def _check_prime_pairs(lattice, witnesses, pair_report):
     lambdas, upsilons = witnesses
+    full = lattice.full_member_mask
+    above, below = lattice.strict_bounds
     for u, v, p in pair_report.pairs:
         k = lattice.base.index(p)
         i, j = lambdas[k], upsilons[k]
         if lattice.member(i) is not u or lattice.member(j) is not v:
             return False, f"p={p} not-witnesses"
-        ideal = ideals_mod.SubsetOfLattice(lattice, lattice.ideal_of(1 << i))
-        filt = ideals_mod.SubsetOfLattice(lattice, lattice.filter_of(1 << j))
+        column = lattice.columns[k]
+        ideal = ideals_mod.SubsetOfLattice(lattice, ~(column | below[k]) & full)
+        filt = ideals_mod.SubsetOfLattice(lattice, column & above[k])
+        # is_prime_ideal stays independent of the witnesses by design.
         if not ideals_mod.is_prime_ideal(ideal):
             return False, f"p={p} ideal-not-prime"
         # A filter complementary to the ideal needs no primeness check of
         # its own: is_prime_filter(filt) would be is_prime_ideal(ideal).
-        if filt.member_mask != lattice.full_member_mask & ~ideal.member_mask:
+        if filt.member_mask != full & ~ideal.member_mask:
             if not ideals_mod.is_prime_filter(filt):
                 return False, f"p={p} filter-not-prime"
             return False, f"p={p} not-complementary"
@@ -125,12 +128,10 @@ def _check_upset_closure(lattice):
     # whether the members are every up-set, each once: canonical order
     # puts equal supports side by side, where no column tells them apart,
     # and the up-sets are counted.
-    columns = lattice.columns
     wrong = differ = 0
-    for column, up in zip(columns, lattice.base.up_masks):
+    for column, above in zip(lattice.columns, lattice.strict_bounds[0]):
         differ |= column ^ column >> 1
-        for j in _bits(up):
-            wrong |= column & ~columns[j]
+        wrong |= column & ~above
     if wrong:
         return False, f"member={_lowest_member_label(lattice, wrong)}"
     repeated = lattice.full_member_mask >> 1 & ~differ

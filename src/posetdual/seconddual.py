@@ -126,6 +126,7 @@ def evaluation_hom(lattice, element):
     canonical order. O(n) big-int operations on the member columns.
     """
     zeros = lattice.full_member_mask & ~lattice.columns[lattice.base.index(element)]
+    # Not strict_bounds: off up-sets, this ORs the columns inside col[p].
     kernel_top = lattice.member(lattice.ideal_of(zeros).bit_length() - 1)
     return BoundedHom(lattice, kernel_top)
 

@@ -72,6 +72,22 @@ def transitive_closure_fixpoint(up):
     return up
 
 
+def transitive_reduction_scan(poset):
+    """Sorted cover pairs, pair by pair: (i, j) with i strictly below j
+    is a cover unless some k sits strictly between."""
+    n = poset.n
+    covers = []
+    for i in range(n):
+        for j in range(n):
+            if i == j or not poset.leq_index(i, j):
+                continue
+            between = poset.up_masks[i] & ~(1 << i) & ~(1 << j)
+            if not any(poset.leq_index(k, j) for k in _bits(between)):
+                covers.append((poset.elements[i], poset.elements[j]))
+    covers.sort()
+    return tuple(covers)
+
+
 def down_mask_scan(poset, j):
     """Bitmask of the elements below element j, by testing every i."""
     return sum(1 << i for i in range(poset.n) if poset.up_masks[i] >> j & 1)
@@ -113,6 +129,21 @@ def irreducible_masks_scan(lattice):
         if len(_maximal_outside(base.down_masks, base.full_mask & ~s)) == 1:
             joins |= 1 << i
     return meets, joins
+
+
+def cover_masks_scan(lattice):
+    """(outside, inside): per base element p, the member-index mask of
+    the members with p maximal outside their support, and of those with
+    p minimal inside it, member by member from the supports."""
+    base = lattice.base
+    outside = [0] * base.n
+    inside = [0] * base.n
+    for i, s in enumerate(lattice.supports):
+        for p in _maximal_outside(base.up_masks, s):
+            outside[p] |= 1 << i
+        for p in _maximal_outside(base.down_masks, base.full_mask & ~s):
+            inside[p] |= 1 << i
+    return outside, inside
 
 
 def complementary_pairs_scan(lattice):

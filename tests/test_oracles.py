@@ -48,6 +48,7 @@ from posetdual.report import _check_embedding_order, _check_upset_closure
 from conftest import (
     chain,
     complementary_pairs_scan,
+    cover_masks_scan,
     embedding_characterization_scan,
     embedding_order_scan,
     fence,
@@ -65,6 +66,7 @@ from conftest import (
     least_upper_bound_scan,
     poset_catalog,
     random_suite,
+    transitive_reduction_scan,
     upset_closure_scan,
     witness_supports_scan,
     witnesses_scan,
@@ -295,6 +297,37 @@ def test_witness_indices_match_scan(fixture_lattices, shuffled_lattices):
         assert first == missing
         complete.add(missing is None)
     assert complete == {True, False}
+
+
+def test_strict_bounds_match_generic_scans(fixture_lattices, shuffled_lattices):
+    # The report reads the intervals at λ_p and υ_p, and the cover masks
+    # M_p and J_p, off the strict bounds; on any family they must equal
+    # the generic interval scans and the member-by-member cover scan.
+    witnessed = set()
+    for lattice in (
+        fixture_lattices
+        + shuffled_lattices
+        + list(_corrupted_lattices(CORRUPTED, seed=11))
+    ):
+        full = lattice.full_member_mask
+        above, below = lattice.strict_bounds
+        bounds = list(zip(lattice.columns, above, below, *lattice.witnesses))
+        for column, up, down, lam, ups in bounds:
+            if lam is not None:
+                assert ~(column | down) & full == lattice.ideal_of(1 << lam)
+            if ups is not None:
+                assert column & up == lattice.filter_of(1 << ups)
+            witnessed.add((lam is None, ups is None))
+        outside = [up & ~column for column, up, *_ in bounds]
+        inside = [column & ~down for column, _, down, *_ in bounds]
+        assert (outside, inside) == cover_masks_scan(lattice)
+    assert witnessed == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_transitive_reduction_matches_scan(lattices, shuffled_lattices):
+    for lattice in lattices + shuffled_lattices:
+        poset = lattice.base
+        assert transitive_reduction(poset).pairs == transitive_reduction_scan(poset)
 
 
 def test_embedding_order_check_on_swapped_witnesses(lattices):
