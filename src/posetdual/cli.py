@@ -36,10 +36,10 @@ EXIT_INPUT_ERROR = 2
 EXIT_TOO_LARGE = 3
 
 
-def element_count(text):
+def nonnegative_int(text):
     n = int(text)
     if n < 0:
-        raise argparse.ArgumentTypeError(f"size must be >= 0, got {n}")
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
     return n
 
 
@@ -81,7 +81,7 @@ def _build_parser():
         if cmd != "hasse":
             p.add_argument(
                 "--max-members",
-                type=int,
+                type=nonnegative_int,
                 default=dual_mod.DEFAULT_MAX_MEMBERS,
                 help="cap on dual-lattice size (default %(default)s)",
             )
@@ -101,7 +101,7 @@ def _build_parser():
             )
 
     p = sub.add_parser("random", help="emit a random poset file")
-    p.add_argument("n", type=element_count, help="number of elements")
+    p.add_argument("n", type=nonnegative_int, help="number of elements")
     p.add_argument("--density", type=probability, default=0.5)
     p.add_argument("--name", type=poset_name, default="random")
     p.add_argument("--out", metavar="PATH", help="write here instead of stdout")

@@ -259,7 +259,7 @@ def _transpose_rows(rows, n):
     8k + c of those 8 rows, so every 8th byte from byte c, read as one
     little-endian int, is column 8k + c.
     """
-    if sys.byteorder == "big":  # untested: CI hosts are little-endian
+    if sys.byteorder == "big":
         rows = array("Q", rows)
         rows.byteswap()
     raw = rows.tobytes()
@@ -301,18 +301,16 @@ def _walk_upset_buckets(poset):
     built once per walk and kept as 64-bit lanes of one int per popcount.
     A visit adds `included` to every lane and appends the lanes'
     little-endian bytes to the bucket in one copy; `included` is disjoint
-    from R, so no lane carries. Once nothing is undecided, the leaf is
-    appended on its own. A big-endian host splits down to the leaves and
-    appends each on its own, because the lanes are little-endian
-    (untested: CI hosts are little-endian).
+    from R, so no lane carries; a leaf with nothing undecided is the
+    empty remainder's one up-set. The lanes are little-endian, so a
+    big-endian host byteswaps each bucket once after the walk.
     """
-    tail = 0 if sys.byteorder == "big" else _TAIL_ELEMENTS
+    tail = _TAIL_ELEMENTS
     up = poset.up_masks
     not_up = [~u for u in up]
     not_down = [~d for d in poset.down_masks]
     families = {0: ((0, 1, 1),)}  # the empty remainder: one empty up-set
     buckets = [array("Q") for _ in range(poset.n + 1)]
-    leaf = [bucket.append for bucket in buckets]
     extend = [bucket.frombytes for bucket in buckets]
     stack = [0, poset.full_mask]  # (included, undecided) pairs
     pop, push = stack.pop, stack.append
@@ -324,13 +322,13 @@ def _walk_upset_buckets(poset):
             push(included | up[p])
             push(rest & not_up[p])
             rest &= not_down[p]
-        if not rest:
-            leaf[included.bit_count()](included)
-            continue
         family = _remainder_family(rest, up, not_up, not_down, families)
         for k, (lanes, ones, count) in enumerate(family, included.bit_count()):
             if count:
                 extend[k]((lanes + included * ones).to_bytes(8 * count, "little"))
+    if sys.byteorder == "big":
+        for bucket in buckets:
+            bucket.byteswap()
     return buckets
 
 

@@ -195,12 +195,15 @@ def random_poset(n, seed, density):
 
     Samples each strict upper-triangular pair (in index order) with the
     given probability, then takes the transitive closure; never cyclic.
+    The pairs are drawn lazily, so an n over the element cap is refused
+    before any is drawn.
     """
     rng = random.Random(seed)
     elements = [f"e{i}" for i in range(n)]
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < density:
-                pairs.append((elements[i], elements[j]))
+    pairs = (
+        (elements[i], elements[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < density
+    )
     return poset_from_relations(elements, pairs)

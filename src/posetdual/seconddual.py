@@ -48,59 +48,21 @@ def _down_rows(lattice):
     ]
 
 
-def _ones_mask_checker(lattice, down):
-    # Pairwise form of the hom conditions on the map whose preimage of 1
-    # is the given member-index mask: bounds, zero side downward closed
-    # and join closed, one side meet closed (upward closure follows).
-    # Every sup and inf in a finite lattice is an iterated pairwise one,
-    # so this equals preserving arbitrary sups and infs. Lookups are read
-    # once per lattice; down is _down_rows(lattice).
-    top_bit = 1 << (len(lattice) - 1)
-    full = lattice.full_member_mask
-    supports = lattice.supports
-    index_of = lattice._member_index
-
-    def ok(ones_mask):
-        if ones_mask & 1:
-            return False  # bottom must map to 0
-        if not ones_mask & top_bit:
-            return False  # top must map to 1
-        zeros = []
-        mm = full & ~ones_mask
-        while mm:
-            low = mm & -mm
-            i = low.bit_length() - 1
-            if down[i] & ones_mask:
-                return False
-            zeros.append(i)
-            mm ^= low
-        for a, i in enumerate(zeros):
-            si = supports[i]
-            for j in zeros[a + 1:]:
-                if ones_mask >> index_of[si | supports[j]] & 1:
-                    return False
-        ones = list(_bits(ones_mask))
-        for a, i in enumerate(ones):
-            si = supports[i]
-            for j in ones[a + 1:]:
-                if not ones_mask >> index_of[si & supports[j]] & 1:
-                    return False
-        return True
-
-    return ok
-
-
 def enumerate_second_dual_bruteforce(lattice):
     """All valid homs, in canonical order of kernel top.
 
     A valid hom's zero side is nonempty, downward closed and join closed,
     so in a finite lattice it is the principal ideal of its join k. The
     only candidates are thus the m maps that are 0 exactly below some
-    member k; each is checked with the pairwise hom conditions, and if
-    valid is the hom with kernel top k. The order comes from comparing
-    supports, not from the member columns or the base poset, so this
-    stays independent of evaluation_hom: it is the oracle side of the
-    isomorphism check.
+    member k. Each is a hom iff it sends the bottom to 0 and the top to
+    1, its zero side is downward closed, and the join of the zero side's
+    supports lies on the zero side and the meet of the one side's on the
+    one side: a down-set is join closed iff it holds the join of all its
+    members, and an up-set meet closed iff it holds their meet (Davey &
+    Priestley, ch. 2). Only supports are compared, not the member columns
+    or the base poset, so this stays independent of evaluation_hom: it is
+    the oracle side of the isomorphism check. On a family not closed
+    under union and intersection, a missing join or meet raises KeyError.
     """
     m = len(lattice)
     if m > DEFAULT_BRUTEFORCE_CAP:
@@ -109,13 +71,25 @@ def enumerate_second_dual_bruteforce(lattice):
             f"{DEFAULT_BRUTEFORCE_CAP}"
         )
     down = _down_rows(lattice)
-    ok = _ones_mask_checker(lattice, down)
-    full = lattice.full_member_mask
-    return [
-        BoundedHom(lattice, lattice.member(k))
-        for k in range(m)
-        if ok(full & ~down[k])
-    ]
+    supports = lattice.supports
+    index_of = lattice._member_index
+    homs = []
+    for k, zeros in enumerate(down):
+        ones = lattice.full_member_mask & ~zeros
+        if ones & 1 or not ones >> (m - 1) & 1:
+            continue  # the bottom must map to 0 and the top to 1
+        join = below = 0
+        for i in _bits(zeros):
+            join |= supports[i]
+            below |= down[i]
+        if below & ones or ones >> index_of[join] & 1:
+            continue
+        meet = -1
+        for i in _bits(ones):
+            meet &= supports[i]
+        if ones >> index_of[meet] & 1:
+            homs.append(BoundedHom(lattice, lattice.member(k)))
+    return homs
 
 
 def evaluation_hom(lattice, element):

@@ -19,7 +19,7 @@ from posetdual import (
 )
 from posetdual.dot import _graph_id, support_label
 from posetdual.poset import _bits
-from posetdual.seconddual import _down_rows, _ones_mask_checker
+from posetdual.seconddual import _down_rows
 
 
 def upset_masks_bruteforce(poset):
@@ -292,9 +292,51 @@ def irreducible_covers_scan(lattice):
     return True, None
 
 
+def _ones_mask_checker(lattice, down):
+    # Pairwise form of the hom conditions on the map whose preimage of 1
+    # is the given member-index mask: bounds, zero side downward closed
+    # and join closed, one side meet closed (upward closure follows).
+    # Every sup and inf in a finite lattice is an iterated pairwise one,
+    # so this equals preserving arbitrary sups and infs. Lookups are read
+    # once per lattice; down is _down_rows(lattice).
+    top_bit = 1 << (len(lattice) - 1)
+    full = lattice.full_member_mask
+    supports = lattice.supports
+    index_of = lattice._member_index
+
+    def ok(ones_mask):
+        if ones_mask & 1:
+            return False  # bottom must map to 0
+        if not ones_mask & top_bit:
+            return False  # top must map to 1
+        zeros = []
+        mm = full & ~ones_mask
+        while mm:
+            low = mm & -mm
+            i = low.bit_length() - 1
+            if down[i] & ones_mask:
+                return False
+            zeros.append(i)
+            mm ^= low
+        for a, i in enumerate(zeros):
+            si = supports[i]
+            for j in zeros[a + 1:]:
+                if ones_mask >> index_of[si | supports[j]] & 1:
+                    return False
+        ones = list(_bits(ones_mask))
+        for a, i in enumerate(ones):
+            si = supports[i]
+            for j in ones[a + 1:]:
+                if not ones_mask >> index_of[si & supports[j]] & 1:
+                    return False
+        return True
+
+    return ok
+
+
 def homs_by_all_maps(lattice):
-    """Every valid hom to {0, 1}, by running the library's pairwise hom
-    check (itself checked against the all-subsets definition) on every map
+    """Every valid hom to {0, 1}, by running _ones_mask_checker's pairwise
+    hom check (itself checked against the all-subsets definition) on every map
     that sends the bottom to 0: the even ones-masks, 2^(m-1) of them. Each
     kernel top is the union of the zero side's supports. Sorted by kernel
     top in canonical member order."""

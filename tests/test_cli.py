@@ -1,5 +1,6 @@
 import io
 import os
+import random
 import subprocess
 import sys
 import types
@@ -126,6 +127,22 @@ def test_size_cap_error_names_the_count(tmp_path):
     assert err == "error: dual lattice has 1099511627776 members, cap 100\n"
 
 
+def test_zero_member_cap_refuses_every_lattice():
+    code, out, err = run(["dual", str(SAMPLES / "chain2.poset"), "--max-members", "0"])
+    assert (code, out) == (3, "")
+    assert err == "error: dual lattice has more than 0 members, cap 0\n"
+
+
+def test_random_over_element_cap_refused_before_drawing(monkeypatch):
+    def no_draws(self):
+        raise AssertionError("drew a random number")
+
+    monkeypatch.setattr(random.Random, "random", no_draws)
+    code, out, err = run(["random", "65"])
+    assert (code, out) == (3, "")
+    assert err == "error: poset has 65 elements, cap is 64\n"
+
+
 def test_second_dual_honours_size_cap(tmp_path):
     f = tmp_path / "anti.poset"
     names = " ".join(f"e{i}" for i in range(5))
@@ -181,7 +198,12 @@ def test_random_subcommand_deterministic(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv", [["random", "-3"], ["random", "3", "--density", "7"]]
+    "argv",
+    [
+        ["random", "-3"],
+        ["random", "3", "--density", "7"],
+        ["dual", str(SAMPLES / "chain2.poset"), "--max-members", "-1"],
+    ],
 )
 def test_random_rejects_out_of_range_arguments(argv, capsys):
     out = io.StringIO()

@@ -1,3 +1,5 @@
+import sys
+from array import array
 from itertools import combinations
 
 import pytest
@@ -22,7 +24,12 @@ from posetdual import (
     upsilon_of,
 )
 from posetdual import dual as dual_mod
-from posetdual.dual import _count_upsets, _irreducible_masks, _walk_upset_buckets
+from posetdual.dual import (
+    _count_upsets,
+    _irreducible_masks,
+    _transpose_rows,
+    _walk_upset_buckets,
+)
 
 from conftest import (
     chain,
@@ -215,11 +222,31 @@ def test_walk_matches_plain_walk():
 
 @pytest.mark.parametrize("tail", [0, 1, 64])
 def test_walk_matches_plain_walk_at_any_tail(monkeypatch, tail):
-    # Tail 0 is the plain walk, appending each leaf on its own; tail 64
-    # builds the whole family from the memoized remainders, without a walk.
+    # Tail 0 splits down to the leaves, each appended as the empty
+    # remainder's one up-set; tail 64 builds the whole family from the
+    # memoized remainders, without a walk.
     monkeypatch.setattr(dual_mod, "_TAIL_ELEMENTS", tail)
     for p in walk_posets():
         assert bucket_bytes(_walk_upset_buckets(p)) == bucket_bytes(upset_walk_scan(p))
+
+
+def test_big_endian_branches_byteswap_the_rows(monkeypatch):
+    # On a big-endian host an array('Q') holds each row's bytes reversed;
+    # here the rows are byteswapped by hand to stand for that.
+    p = random_poset(20, 3, 0.15)
+    buckets = _walk_upset_buckets(p)
+    lattice = enumerate_dual(p)
+    swapped = array("Q", lattice.supports)
+    swapped.byteswap()
+    monkeypatch.setattr(sys, "byteorder", "big")
+    big_buckets = _walk_upset_buckets(p)
+    big_columns = _transpose_rows(swapped, p.n)
+    monkeypatch.undo()
+    for bucket in big_buckets:
+        bucket.byteswap()
+    assert bucket_bytes(big_buckets) == bucket_bytes(buckets)
+    assert big_columns == lattice.columns
+    assert len(lattice) == 2307
 
 
 def test_columns_are_member_values():

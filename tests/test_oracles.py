@@ -11,9 +11,10 @@ member indices, checked here against supports built from the order
 relation. The second dual's homs are checked only on the principal-ideal
 candidates. The oracles in conftest rebuild each from the member order
 or the supports, member by member, or, for the homs, from every map on
-the members. Member families that are not the up-sets of their base get
-the same verdicts, payloads included, from both sides, and the report
-fails them without raising.
+the members or every pair of members on each side of a candidate.
+Member families that are not the up-sets of their base get the same
+verdicts, payloads included, from both sides, and the report fails them
+without raising.
 """
 
 import random
@@ -22,6 +23,7 @@ from types import SimpleNamespace
 import pytest
 
 from posetdual import (
+    BoundedHom,
     DualLattice,
     LemmaViolationError,
     SubsetOfLattice,
@@ -42,10 +44,13 @@ from posetdual import (
 )
 from posetdual import dot as dot_mod
 from posetdual import dual as dual_mod
+from posetdual import seconddual as sd_mod
 from posetdual.poset import _bits
 from posetdual.report import _check_embedding_order, _check_upset_closure
+from posetdual.seconddual import _down_rows
 
 from conftest import (
+    _ones_mask_checker,
     chain,
     complementary_pairs_scan,
     cover_masks_scan,
@@ -74,6 +79,7 @@ from conftest import (
 
 SUBSET_CAP = 10
 ALL_MAPS_CAP = 16
+PAIRWISE_CAP = 64
 # 2^13 members, each row two bytes wide.
 WIDE = 13
 
@@ -128,6 +134,29 @@ def test_second_dual_candidates_match_all_maps(lattices):
         assert enumerate_second_dual_bruteforce(lattice) == homs_by_all_maps(lattice)
         checked += 1
     assert checked > 200
+
+
+def test_second_dual_candidates_match_pairwise_checker(
+    monkeypatch, lattices, shuffled_lattices
+):
+    # The oracle checks one join and one meet per candidate; the pairwise
+    # checker every pair of members on each side.
+    monkeypatch.setattr(sd_mod, "DEFAULT_BRUTEFORCE_CAP", PAIRWISE_CAP)
+    checked = 0
+    for lattice in lattices + shuffled_lattices:
+        if len(lattice) > PAIRWISE_CAP:
+            continue
+        down = _down_rows(lattice)
+        ok = _ones_mask_checker(lattice, down)
+        full = lattice.full_member_mask
+        expected = [
+            BoundedHom(lattice, lattice.member(k))
+            for k in range(len(lattice))
+            if ok(full & ~down[k])
+        ]
+        assert enumerate_second_dual_bruteforce(lattice) == expected
+        checked += 1
+    assert checked > 250
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@ import pytest
 
 from posetdual import (
     BoundedHom,
+    DualLattice,
     NoWitnessError,
     TooLargeError,
     enumerate_dual,
@@ -18,9 +19,10 @@ from posetdual import (
     verify_isomorphism,
 )
 from posetdual import seconddual as sd_mod
-from posetdual.seconddual import _down_rows, _ones_mask_checker
+from posetdual.seconddual import _down_rows
 
 from conftest import (
+    _ones_mask_checker,
     isomorphism_failures_scan,
     poset_catalog,
     random_suite,
@@ -81,6 +83,14 @@ def test_bruteforce_cap():
     p = poset_from_relations([f"e{i}" for i in range(5)], [])
     with pytest.raises(TooLargeError):
         enumerate_second_dual_bruteforce(enumerate_dual(p))
+
+
+def test_bruteforce_raises_on_missing_meet():
+    # {a, b} and {b, c} lie on the one side of the candidate below the
+    # empty support, and their meet {b} is not in the family.
+    base = poset_from_relations(["a", "b", "c"], [])
+    with pytest.raises(KeyError):
+        enumerate_second_dual_bruteforce(DualLattice(base, [0, 0b011, 0b110, 0b111]))
 
 
 def test_evaluation_hom_kernels():
