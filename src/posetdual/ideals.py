@@ -101,9 +101,11 @@ def prime_principal_pairs(lattice):
     filter iff they are the interval above their least member, which
     canonical order puts first; pairs come in member order of u.
 
-    Every complementary pair must be witnessed by a unique base element;
-    a missing or broken witness raises LemmaViolationError (an
-    implementation bug by construction).
+    This is the one check of the prime-pair facts. It raises
+    LemmaViolationError unless each pair is (λ_p, υ_p) for its own base
+    element p and the pairs biject with the base. On return, then, each
+    interval below λ_p is a prime ideal whose complement is the filter
+    above υ_p, and λ_p(p) = 0 while υ_p(p) = 1, as their supports say.
     """
     full = lattice.full_member_mask
     lambdas, upsilons = lattice.witnesses

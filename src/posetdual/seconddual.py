@@ -55,14 +55,15 @@ def enumerate_second_dual_bruteforce(lattice):
     so in a finite lattice it is the principal ideal of its join k. The
     only candidates are thus the m maps that are 0 exactly below some
     member k. Each is a hom iff it sends the bottom to 0 and the top to
-    1, its zero side is downward closed, and the join of the zero side's
-    supports lies on the zero side and the meet of the one side's on the
-    one side: a down-set is join closed iff it holds the join of all its
-    members, and an up-set meet closed iff it holds their meet (Davey &
-    Priestley, ch. 2). Only supports are compared, not the member columns
-    or the base poset, so this stays independent of evaluation_hom: it is
-    the oracle side of the isomorphism check. On a family not closed
-    under union and intersection, a missing join or meet raises KeyError.
+    1, and the meet of the one side's supports lies on the one side: an
+    up-set is meet closed iff it holds the meet of all its members (Davey
+    & Priestley, ch. 2). The zero side needs no test. It is the members
+    whose support lies in k's, so it is downward closed because inclusion
+    is transitive, and the join of its supports is k's own support, which
+    lies on it. Only supports are compared, not the member columns or the
+    base poset, so this stays independent of evaluation_hom: it is the
+    oracle side of the isomorphism check. On a family not closed under
+    intersection, a missing meet raises KeyError.
     """
     m = len(lattice)
     if m > DEFAULT_BRUTEFORCE_CAP:
@@ -78,12 +79,6 @@ def enumerate_second_dual_bruteforce(lattice):
         ones = lattice.full_member_mask & ~zeros
         if ones & 1 or not ones >> (m - 1) & 1:
             continue  # the bottom must map to 0 and the top to 1
-        join = below = 0
-        for i in _bits(zeros):
-            join |= supports[i]
-            below |= down[i]
-        if below & ones or ones >> index_of[join] & 1:
-            continue
         meet = -1
         for i in _bits(ones):
             meet &= supports[i]

@@ -210,13 +210,36 @@ def test_irreducible_masks_match_cover_scan(fixture_lattices):
         assert dual_mod._irreducible_masks(lattice) == irreducible_masks_scan(lattice)
 
 
-def test_prime_pair_candidates_match_all_members(fixture_lattices):
-    for lattice in fixture_lattices:
-        pairs = [
-            (lattice.member_index(u), lattice.member_index(v))
-            for u, v, _ in prime_principal_pairs(lattice).pairs
-        ]
+def test_prime_pair_candidates_match_all_members(fixture_lattices, shuffled_lattices):
+    # prime_principal_pairs is the one prime-pair check: where it returns,
+    # its pairs are every complementary pair and each is (λ_p, υ_p) as the
+    # order relation gives them, and the report passes prime_pairs; where
+    # it raises, the report fails prime_pairs with its message.
+    outcomes = set()
+    for lattice in (
+        fixture_lattices
+        + shuffled_lattices
+        + list(_corrupted_lattices(CORRUPTED, seed=11))
+    ):
+        tree, _ = build_verification_report("v", lattice)
+        verdict = tree["checks"]["prime_pairs"]
+        try:
+            found = prime_principal_pairs(lattice).pairs
+        except LemmaViolationError as exc:
+            assert verdict == "fail"
+            assert tree["counterexamples"]["prime_pairs"] == str(exc)
+            outcomes.add("raised")
+            continue
+        assert verdict == "pass"
+        index = lattice.member_index
+        pairs = [(index(u), index(v)) for u, v, _ in found]
         assert pairs == complementary_pairs_scan(lattice)
+        expected = {p: pair for p, *pair in witness_supports_scan(lattice.base)}
+        assert [[u.support, v.support] for u, v, _ in found] == [
+            expected[p] for *_, p in found
+        ]
+        outcomes.add("returned")
+    assert outcomes == {"returned", "raised"}
 
 
 # The report checks read off the member columns, each with the member
