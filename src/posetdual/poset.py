@@ -112,7 +112,10 @@ def _digits(mask):
 def _transitive_closure(up):
     """Close the reflexive up-rows in place, Warshall's way: once pivot k
     is done, every row reaching k holds everything k reaches through
-    pivots up to k, so one pass over the pivots closes the relation."""
+    pivots up to k, so one pass over the pivots closes the relation.
+
+    poset_from_relations calls it only on cyclic input, where its
+    topological sweep cannot finish every row."""
     for k in range(len(up)):
         bit, row = 1 << k, up[k]
         for i, acc in enumerate(up):
@@ -124,9 +127,13 @@ def _transitive_closure(up):
 def poset_from_relations(elements, pairs, max_elements=DEFAULT_MAX_ELEMENTS):
     """Build a poset from generating pairs (lower, upper).
 
-    The result is the reflexive-transitive closure of the pairs. Raises
-    CycleDetectedError if the closure violates antisymmetry, reporting the
-    lexicographically smallest 2-cycle.
+    The result is the reflexive-transitive closure of the pairs, found by
+    one sweep in reverse topological order (Kahn's): a row is final once
+    every direct successor's is, and is then ORed into each direct
+    predecessor. The closure of an acyclic relation is antisymmetric, so
+    that is all acyclic input costs. Rows left unfinished mean a cycle;
+    only then do Warshall's closure and the pair scan run, and
+    CycleDetectedError reports the lexicographically smallest 2-cycle.
     """
     elements = tuple(elements)
     seen = set()
@@ -140,23 +147,38 @@ def poset_from_relations(elements, pairs, max_elements=DEFAULT_MAX_ELEMENTS):
         )
     index = {e: i for i, e in enumerate(elements)}
     up = [1 << i for i in range(len(elements))]
+    preds = [[] for _ in elements]
     for lower, upper in pairs:
         if lower not in index:
             raise UnknownElementError(f"unknown element: {lower!r}")
         if upper not in index:
             raise UnknownElementError(f"unknown element: {upper!r}")
-        up[index[lower]] |= 1 << index[upper]
-    _transitive_closure(up)
+        i, j = index[lower], index[upper]
+        if not up[i] >> j & 1:  # skips repeats and a < a
+            up[i] |= 1 << j
+            preds[j].append(i)
 
+    unfinished = [row.bit_count() - 1 for row in up]  # direct successors
+    done = [i for i, count in enumerate(unfinished) if not count]
+    for j in done:  # grows as rows finish
+        row = up[j]
+        for i in preds[j]:
+            up[i] |= row
+            unfinished[i] -= 1
+            if not unfinished[i]:
+                done.append(i)
+    if len(done) == len(elements):
+        return FinitePoset(elements, tuple(up))
+
+    # A cycle. The swept rows lie between the pairs and their closure,
+    # so Warshall still closes them.
+    _transitive_closure(up)
     cycles = []
     for i in range(len(elements)):
         for j in range(i + 1, len(elements)):
             if up[i] >> j & 1 and up[j] >> i & 1:
                 cycles.append(tuple(sorted((elements[i], elements[j]))))
-    if cycles:
-        raise CycleDetectedError(min(cycles))
-
-    return FinitePoset(elements, tuple(up))
+    raise CycleDetectedError(min(cycles))
 
 
 def leq(poset, a, b):

@@ -8,8 +8,10 @@ Grammar (one construct per line, '#' comments, blank lines ignored):
     <id> < <id>
     ...
 
-Identifiers match [A-Za-z0-9_]+. The canonical form sorts elements and
-relation pairs, and round-trips byte-identically.
+Identifiers match [A-Za-z0-9_]+. Each line is split on whitespace once;
+the regex tokenizer runs only on a line those fast checks reject, to
+name the offending token and its column. The canonical form sorts
+elements and relation pairs, and round-trips byte-identically.
 """
 
 import re
@@ -74,16 +76,18 @@ def parse_poset(text):
     lineno, line = lines[pos]
     if not line.startswith("elements:"):
         raise ParseError("expected 'elements:' line", line=lineno)
-    elements = []
-    seen = set()
-    for token in _TOKEN.finditer(line, len("elements:")):
-        ident = _identifier(token, lineno)
-        if ident in seen:
-            raise DuplicateElementError(
-                f"line {lineno}: duplicate element: {ident!r}"
-            )
-        seen.add(ident)
-        elements.append(ident)
+    elements = line[len("elements:"):].split()
+    seen = set(elements)
+    if len(seen) != len(elements) or not all(map(_IDENT.match, elements)):
+        # Rescan token by token for the first offender and its column.
+        seen = set()
+        for token in _TOKEN.finditer(line, len("elements:")):
+            ident = _identifier(token, lineno)
+            if ident in seen:
+                raise DuplicateElementError(
+                    f"line {lineno}: duplicate element: {ident!r}"
+                )
+            seen.add(ident)
     pos += 1
 
     if pos >= len(lines):
@@ -95,16 +99,20 @@ def parse_poset(text):
 
     relations = []
     for lineno, line in lines[pos:]:
-        tokens = list(_TOKEN.finditer(line))
-        if len(tokens) != 3 or tokens[1].group() != "<":
+        parts = line.split()
+        if len(parts) != 3 or parts[1] != "<":
             raise ParseError("expected '<id> < <id>'", line=lineno)
-        for token in tokens[::2]:
-            ident = _identifier(token, lineno)
-            if ident not in seen:
-                raise UnknownElementError(
-                    f"line {lineno}: unknown element: {ident!r}"
-                )
-        relations.append((tokens[0].group(), tokens[2].group()))
+        lower, _, upper = parts
+        if lower not in seen or upper not in seen:
+            # seen holds only identifiers, so only this branch can fail;
+            # it rescans the ends in order for the error and its column.
+            for token in list(_TOKEN.finditer(line))[::2]:
+                ident = _identifier(token, lineno)
+                if ident not in seen:
+                    raise UnknownElementError(
+                        f"line {lineno}: unknown element: {ident!r}"
+                    )
+        relations.append((lower, upper))
 
     return PosetDocument(name, tuple(elements), tuple(relations))
 

@@ -5,12 +5,16 @@ machinery: subsets are filtered, bounds are found by full scans, and
 posets are generated by filtering raw relations.
 """
 
+import re
 from array import array
 from itertools import combinations, product
 
 from posetdual import (
     BoundedHom,
+    DuplicateElementError,
     NoWitnessError,
+    ParseError,
+    UnknownElementError,
     hom_leq,
     point_of_hom,
     poset_from_relations,
@@ -20,6 +24,7 @@ from posetdual import (
 from posetdual.dot import _graph_id, support_label
 from posetdual.poset import _bits
 from posetdual.seconddual import _down_rows
+from posetdual.textio import PosetDocument, _significant_lines
 
 
 def upset_masks_bruteforce(poset):
@@ -653,3 +658,71 @@ def fence(n):
     pairs = [(f"e{i}", f"e{i + 1}") if i % 2 == 0 else (f"e{i + 1}", f"e{i}")
              for i in range(n - 1)]
     return poset_from_relations([f"e{i}" for i in range(n)], pairs)
+
+
+_SCAN_IDENT = re.compile(r"[A-Za-z0-9_]+\Z")
+_SCAN_TOKEN = re.compile(r"\S+")
+
+
+def _scan_identifier(token, lineno):
+    ident = token.group()
+    if not _SCAN_IDENT.match(ident):
+        column = token.start() + 1
+        raise ParseError(f"bad identifier {ident!r}", line=lineno, column=column)
+    return ident
+
+
+def parse_poset_scan(text):
+    """The text format parsed token by token with the regex tokenizer:
+    every `elements:` name and both ends of every relation line are
+    matched and checked in order, so the first bad token raises."""
+    lines = list(_significant_lines(text))
+    pos = 0
+
+    if pos >= len(lines):
+        raise ParseError("expected 'poset <name>'", line=1)
+    lineno, line = lines[pos]
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != "poset" or not _SCAN_IDENT.match(parts[1]):
+        raise ParseError("expected 'poset <name>'", line=lineno)
+    name = parts[1]
+    pos += 1
+
+    if pos >= len(lines):
+        raise ParseError("expected 'elements:' line", line=lineno + 1)
+    lineno, line = lines[pos]
+    if not line.startswith("elements:"):
+        raise ParseError("expected 'elements:' line", line=lineno)
+    elements = []
+    seen = set()
+    for token in _SCAN_TOKEN.finditer(line, len("elements:")):
+        ident = _scan_identifier(token, lineno)
+        if ident in seen:
+            raise DuplicateElementError(
+                f"line {lineno}: duplicate element: {ident!r}"
+            )
+        seen.add(ident)
+        elements.append(ident)
+    pos += 1
+
+    if pos >= len(lines):
+        raise ParseError("expected 'relations:' line", line=lineno + 1)
+    lineno, line = lines[pos]
+    if line != "relations:":
+        raise ParseError("expected 'relations:' line", line=lineno)
+    pos += 1
+
+    relations = []
+    for lineno, line in lines[pos:]:
+        tokens = list(_SCAN_TOKEN.finditer(line))
+        if len(tokens) != 3 or tokens[1].group() != "<":
+            raise ParseError("expected '<id> < <id>'", line=lineno)
+        for token in tokens[::2]:
+            ident = _scan_identifier(token, lineno)
+            if ident not in seen:
+                raise UnknownElementError(
+                    f"line {lineno}: unknown element: {ident!r}"
+                )
+        relations.append((tokens[0].group(), tokens[2].group()))
+
+    return PosetDocument(name, tuple(elements), tuple(relations))

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from posetdual import (
     DuplicateElementError,
     ParseError,
+    PosetDualError,
     UnknownElementError,
     build_poset,
     canonical_text,
@@ -15,6 +18,8 @@ from posetdual import (
     poset_from_relations,
     random_poset,
 )
+
+from conftest import parse_poset_scan
 
 CHAIN2_TEXT = "poset P\nelements: a b\nrelations:\na < b\n"
 
@@ -65,6 +70,98 @@ def test_parse_errors_have_positions():
     with pytest.raises(ParseError) as exc:
         parse_poset("poset P\nelements: a\nrelations:\na < <\n")
     assert (exc.value.line, exc.value.column) == (4, 5)
+
+
+# Whitespace that str.split() and the regex \S+ must both split on; none
+# of it ends a line for str.splitlines().
+SEPARATORS = (" ", "  ", "\t", " \t ", "\x1f", "\xa0", "\u3000")
+BAD_NAMES = ("a-b", "é", "x.y")
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except PosetDualError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+def _mutated_document(rng):
+    """A valid document's lines as token lists, with seeded mutations:
+    unknown and bad names on either side of a relation, broken `<`
+    tokens, lines of 2 and 4 tokens, repeated and bad element names."""
+    n = rng.randint(1, 7)
+    names = rng.sample(["a", "b", "c", "x1", "Y_2", "n10", "e0", "e1", "zz9"], n)
+    relations = [
+        [rng.choice(names), "<", rng.choice(names)] for _ in range(rng.randint(0, 8))
+    ]
+    elements = list(names)
+    for _ in range(rng.choice((0, 0, 1, 1, 2))):
+        kind = rng.randrange(9)
+        whole = [line for line in relations if len(line) == 3]
+        if kind == 0 or not whole:
+            spot = rng.randint(0, len(elements))
+            elements.insert(spot, rng.choice(names + list(BAD_NAMES)))
+            continue
+        line = rng.choice(whole)
+        side = rng.choice((0, 2))
+        if kind == 1:
+            line[side] = "unknown"
+        elif kind == 2:
+            line[side] = rng.choice(BAD_NAMES)
+        elif kind == 3:
+            line[1] = "<<"
+        elif kind == 4:
+            line[1:] = ["<" + line[2]]  # a <b
+        elif kind == 5:
+            line[:] = [line[0], line[2]]
+        elif kind == 6:
+            line.append(rng.choice(names))
+        elif kind == 7:
+            line[side] = rng.choice(BAD_NAMES) + rng.choice(SEPARATORS) + "q"
+        else:
+            line[1] = rng.choice(("<=", ">", "<<<"))
+    return elements, relations
+
+
+def _render(rng, elements, relations):
+    def join(tokens):
+        out = rng.choice(("", "", " ", "\t"))
+        for token in tokens:
+            out += token + rng.choice(SEPARATORS)
+        return out.rstrip(" ") if rng.random() < 0.5 else out
+
+    def comment():
+        return rng.choice(("", "", " # note", "# x < y", "\t#a b c"))
+
+    lines = [f"poset P{comment()}", "elements:" + join(elements) + comment()]
+    lines.append("relations:" + comment())
+    lines += [join(tokens) + comment() for tokens in relations]
+    return "\n".join(lines) + "\n"
+
+
+def test_parser_matches_token_scan_on_mutations():
+    # Splitting each line once and rescanning only lines it rejects gives
+    # the same document, or the same error with the same line and column.
+    rng = random.Random(19)
+    kinds = set()
+    for _ in range(3000):
+        text = _render(rng, *_mutated_document(rng))
+        got = _outcome(parse_poset, text)
+        assert got == _outcome(parse_poset_scan, text), text
+        if not isinstance(got, tuple):
+            kinds.add("ok")
+        elif "bad identifier" in got[1]:
+            kinds.add("bad element name" if got[2] == 2 else "bad relation name")
+        else:
+            kinds.add(got[0].__name__)
+    assert kinds == {
+        "ok",
+        "bad element name",
+        "bad relation name",
+        "DuplicateElementError",
+        "ParseError",  # a relation line not of the form '<id> < <id>'
+        "UnknownElementError",
+    }
 
 
 def test_comments_and_blank_lines_ignored():

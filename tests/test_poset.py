@@ -14,6 +14,7 @@ from posetdual import (
     transitive_reduction,
 )
 
+from posetdual import poset as poset_module
 from posetdual.poset import _bits, _transitive_closure
 
 from conftest import (
@@ -56,6 +57,92 @@ def test_closure_matches_fixpoint_oracle():
         )
     # Both kinds are drawn often.
     assert 50 < cyclic < 450
+
+
+def _relation_draw(rng):
+    """Element names in shuffled order and a pair list over them: a random
+    DAG under a hidden ranking, with repeated pairs, a < a, redundant
+    transitive pairs and, in some draws, back edges that close cycles."""
+    n = rng.randint(0, 12)
+    names = [f"x{i}" for i in range(n)]
+    rng.shuffle(names)  # the ranking: pairs go from earlier to later
+    pairs = []
+    if n:
+        for _ in range(rng.randint(0, 2 * n)):
+            i, j = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
+            pairs.append((names[i], names[j]))
+        for _ in range(rng.randint(0, 3)):
+            name = rng.choice(names)
+            pairs.append((name, name))
+        for (a, b), (c, d) in zip(pairs, pairs[1:]):
+            if b == c and rng.random() < 0.5:
+                pairs.append((a, d))
+        pairs += rng.sample(pairs, min(len(pairs), rng.randint(0, 3)))
+        if n > 1 and rng.random() < 0.3:
+            i, j = sorted(rng.sample(range(n), 2))
+            pairs.append((names[j], names[i]))
+    rng.shuffle(pairs)
+    elements = rng.sample(names, n)
+    return elements, pairs
+
+
+def test_closure_sweep_matches_fixpoint_oracle():
+    # poset_from_relations against the fixpoint closure of the same pairs:
+    # the up-masks on acyclic input, the smallest mutually reachable pair
+    # on cyclic input.
+    rng = random.Random(19)
+    acyclic = cyclic = unsorted = 0
+    for _ in range(2000):
+        elements, pairs = _relation_draw(rng)
+        index = {e: i for i, e in enumerate(elements)}
+        up = [1 << i for i in range(len(elements))]
+        for a, b in pairs:
+            up[index[a]] |= 1 << index[b]
+        closed = transitive_closure_fixpoint(up)
+        cycles = [
+            tuple(sorted((a, b)))
+            for a in elements
+            for b in elements
+            if a != b
+            and closed[index[a]] >> index[b] & 1
+            and closed[index[b]] >> index[a] & 1
+        ]
+        if cycles:
+            cyclic += 1
+            with pytest.raises(CycleDetectedError) as exc:
+                poset_from_relations(elements, pairs)
+            assert exc.value.cycle == min(cycles)
+        else:
+            acyclic += 1
+            unsorted += any(index[a] > index[b] for a, b in pairs)
+            assert poset_from_relations(elements, pairs).up_masks == tuple(closed)
+    assert cyclic > 100 and acyclic > 1000 and unsorted > 500
+
+
+def test_closure_skips_warshall_on_acyclic_input(monkeypatch):
+    calls = []
+
+    def recorded(up):
+        calls.append(len(up))
+        return _transitive_closure(up)
+
+    monkeypatch.setattr(poset_module, "_transitive_closure", recorded)
+    # A 64-chain listed in string order (e0 e1 e10 ...), so index order
+    # is not a linear extension.
+    names = [f"e{i}" for i in range(64)]
+    p = poset_from_relations(sorted(names), list(zip(names, names[1:])))
+    assert all(
+        p.up_mask(a) == sum(1 << p.index(b) for b in names[k:])
+        for k, a in enumerate(names)
+    )
+    for q in random_suite(count=40):
+        poset_from_relations(q.elements[::-1], transitive_reduction(q).pairs)
+    assert calls == []
+
+    with pytest.raises(CycleDetectedError) as exc:
+        poset_from_relations(["c", "b", "a"], [("b", "c"), ("c", "a"), ("a", "b")])
+    assert exc.value.cycle == ("a", "b")
+    assert calls == [3]
 
 
 def test_cycle_detected():
