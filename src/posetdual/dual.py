@@ -18,6 +18,8 @@ DEFAULT_MAX_MEMBERS = 1 << 22
 # The up-set walk stops splitting once at most this many elements are
 # undecided, and appends that remainder's memoized up-sets in one copy.
 _TAIL_ELEMENTS = 8
+# _transpose_rows reads the rows this many (64 KiB) at a time.
+_CHUNK_ROWS = 8192
 # The three delta swaps (shift, lane mask) of Warren's transpose8 (Hacker's
 # Delight 7-3): together they transpose the 8x8 bit matrix held in a
 # 64-bit lane, swapping bit 8r + c with bit 8c + r.
@@ -250,31 +252,43 @@ def _transpose_rows(rows, n):
     """The n columns of an array('Q') of rows: column p is the int whose
     bit i is bit p of rows[i].
 
-    Byte plane k of the little-endian rows, every 8th byte from byte k,
-    holds bits 8k..8k+7 of each row. Read as one int, each 64-bit lane of
-    a plane is an 8x8 bit matrix over 8 consecutive rows (the last lane
-    padded with zero rows), and the delta
-    swaps of _TRANSPOSE8, with their masks repeated across the lanes,
-    transpose every lane at once. Byte c of each lane then holds bit
-    8k + c of those 8 rows, so every 8th byte from byte c, read as one
-    little-endian int, is column 8k + c.
+    Works through the rows in chunks of _CHUNK_ROWS, a multiple of 8, so
+    besides the rows and the transposed planes it holds only chunk-sized
+    copies. Byte plane k of a chunk's little-endian bytes, every 8th byte
+    from byte k, holds bits 8k..8k+7 of each row. Read as one int, each
+    64-bit lane of a plane is an 8x8 bit matrix over 8 consecutive rows
+    (the last lane padded with zero rows), and the delta swaps of
+    _TRANSPOSE8, with their masks repeated across the lanes, transpose
+    every lane at once. The result is copied into plane k at the chunk's
+    offset. Byte c of each lane of plane k then holds bit 8k + c of those
+    8 rows, so every 8th byte from byte c, read as one little-endian int,
+    is column 8k + c; each plane is released once its columns are read.
     """
-    if sys.byteorder == "big":
-        rows = array("Q", rows)
-        rows.byteswap()
-    raw = rows.tobytes()
-    lanes = -(-len(rows) // 8)
+    lanes = -(-min(len(rows), _CHUNK_ROWS) // 8)
+    # No delta swap moves a bit out of its lane, so the masks of a full
+    # chunk serve the shorter last chunk too.
     swaps = [
         (shift, int.from_bytes(mask.to_bytes(8, "little") * lanes, "little"))
         for shift, mask in _TRANSPOSE8
     ]
+    planes = [bytearray(-(-len(rows) // 8) * 8) for _ in range(-(-n // 8))]
+    with memoryview(rows).cast("B") as raw:
+        for start in range(0, len(raw), 8 * _CHUNK_ROWS):
+            chunk = raw[start : start + 8 * _CHUNK_ROWS].tobytes()
+            if sys.byteorder == "big":
+                swapped = array("Q", chunk)
+                swapped.byteswap()
+                chunk = swapped.tobytes()
+            size = -(-len(chunk) // 64) * 8
+            for k, plane in enumerate(planes):
+                x = int.from_bytes(chunk[k::8], "little")
+                for shift, mask in swaps:
+                    t = (x >> shift ^ x) & mask
+                    x ^= t ^ t << shift
+                plane[start // 8 : start // 8 + size] = x.to_bytes(size, "little")
     columns = []
-    for k in range(-(-n // 8)):
-        x = int.from_bytes(raw[k::8], "little")
-        for shift, mask in swaps:
-            t = (x >> shift ^ x) & mask
-            x ^= t ^ t << shift
-        plane = x.to_bytes(8 * lanes, "little")
+    for k in range(len(planes)):
+        plane, planes[k] = planes[k], None
         columns.extend(
             int.from_bytes(plane[c::8], "little") for c in range(min(8, n - 8 * k))
         )
@@ -448,9 +462,12 @@ def enumerate_dual(poset, max_members=DEFAULT_MAX_MEMBERS):
     count = _count_upsets(poset, max_members)
     if count > max_members:
         raise TooLargeError(f"dual lattice has {count} members, cap {max_members}")
+    # Each bucket is released once joined, so the members are held once.
+    buckets = _walk_upset_buckets(poset)
+    buckets.reverse()
     supports = array("Q")
-    for bucket in _walk_upset_buckets(poset):
-        supports += bucket
+    while buckets:
+        supports += buckets.pop()
     if len(supports) != count:
         raise LemmaViolationError(f"walked {len(supports)} up-sets but counted {count}")
     return DualLattice._canonical(poset, supports)

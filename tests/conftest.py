@@ -106,6 +106,13 @@ def evaluation_columns_scan(lattice):
     )
 
 
+def transpose_rows_scan(rows, n):
+    """columns[p]: bit i set iff bit p of rows[i] is, read off each row's
+    n binary digits, the last row's first."""
+    digits = [format(row, f"0{n}b") for row in reversed(rows)]
+    return tuple(int("".join(column), 2) for column in zip(*digits))[::-1]
+
+
 def intervals_scan(lattice):
     """(down, up): down[i] is the member-index bitmask of every member
     below member i, up[i] of every member above it, both inclusive, from

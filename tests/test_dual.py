@@ -1,4 +1,6 @@
+import random
 import sys
+import tracemalloc
 from array import array
 from itertools import combinations
 
@@ -41,6 +43,7 @@ from conftest import (
     least_upper_bound_scan,
     poset_catalog,
     random_suite,
+    transpose_rows_scan,
     upset_masks_bruteforce,
     upset_walk_scan,
 )
@@ -270,6 +273,58 @@ def test_columns_at_row_byte_edges():
         assert lattice.columns == evaluation_columns_scan(lattice)
     assert {len(enumerate_dual(p)) % 8 for p in posets} == set(range(8))
     assert {1, 8, 9, 63, 64} <= {p.n for p in posets}
+
+
+def test_transpose_at_chunk_boundaries(monkeypatch):
+    # m runs over 1 and 2 chunks and a part, each side of every chunk and
+    # lane edge; the n-bit rows are random, so every bit plane is dense.
+    chunk = dual_mod._CHUNK_ROWS
+    rng = random.Random(20)
+    for n in (1, 8, 9, 63, 64):
+        for m in (1, 7, 8, chunk - 1, chunk, chunk + 1, 2 * chunk + 13):
+            rows = array("Q", (rng.getrandbits(n) for _ in range(m)))
+            assert _transpose_rows(rows, n) == transpose_rows_scan(rows, n)
+    # The big-endian branch byteswaps each chunk; the last rows (2 chunks
+    # and 13 rows of 64 bits), byteswapped by hand, stand for a big-endian
+    # host's.
+    swapped = array("Q", rows)
+    swapped.byteswap()
+    monkeypatch.setattr(sys, "byteorder", "big")
+    assert _transpose_rows(swapped, 64) == transpose_rows_scan(rows, 64)
+
+
+def test_lattice_and_columns_hold_rows_and_columns_once(monkeypatch):
+    # Building the lattice and its columns holds the rows, 8 bytes per
+    # member, and the column bytes about once each. The popcount buckets
+    # are released as they are joined, so joining them adds at most the
+    # bucket being joined (a fifth of the members here) and the array's
+    # slack to what the walk leaves; keeping them adds all the rows again.
+    # The transpose copies no more than a chunk of the rows at a time; a
+    # full copy takes the whole peak over 2.4 times the data.
+    walk = dual_mod._walk_upset_buckets
+    walked = []  # (traced memory, traced peak) as each walk returns
+
+    def walk_then_reset_peak(poset):
+        buckets = walk(poset)
+        walked.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return buckets
+
+    monkeypatch.setattr(dual_mod, "_walk_upset_buckets", walk_then_reset_peak)
+    antichain16 = poset_from_relations([f"e{i}" for i in range(16)], [])
+    for p, size in ((antichain16, 65536), (random_poset(30, 1, 0.1), 144460)):
+        tracemalloc.start()
+        try:
+            lattice = enumerate_dual(p)
+            join_peak = tracemalloc.get_traced_memory()[1]
+            lattice.columns
+            walk_end, walk_peak = walked.pop()
+            peak = max(walk_peak, tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(lattice) == size
+        assert join_peak - walk_end <= 0.5 * 8 * size + (64 << 10)
+        assert peak <= 1.6 * (8 * size + p.n * -(-size // 8)) + (64 << 10)
 
 
 def test_base_over_64_elements_refused(monkeypatch):
