@@ -59,8 +59,8 @@ def _cover_edges(lattice):
     heads = [f'  "m{i}" -> "m' for i in range(len(supports))]
     tails = [f'{j}";\n' for j in range(len(supports))]
     edges = []
-    covers = zip(lattice.base.elements, lattice.columns, *lattice.strict_bounds)
-    for p, (e, column, above, below) in enumerate(covers):
+    covers = zip(lattice.base.elements, lattice.strict_bounds())
+    for p, (e, (column, above, below)) in enumerate(covers):
         bit = 1 << p
         lower = list(compress(count(), _digits(above & ~column)))
         upper = list(compress(count(), _digits(column & ~below)))

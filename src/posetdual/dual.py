@@ -80,11 +80,13 @@ class DualLattice:
     O(n^2). `witnesses` holds the member indices of λ_p and υ_p per base
     element, read off the columns; lambda_of/upsilon_of, irreducibles,
     the prime pairs, the report and the DOT annotations all read it. The
-    columns, the strict bounds and the witnesses are each built once, on
-    first use. The rows are 64 bits wide, so the base has at most
-    DEFAULT_MAX_ELEMENTS (64) elements (else TooLargeError), and there
-    must be at least one support, each lying in it (else
-    BaseMismatchError): every up-set lattice holds the empty set.
+    columns, the witnesses and `order_masks`, the masks the irreducibles
+    and the report read off one walk of the strict bounds, are each
+    built once, on first use; the strict bounds themselves are not kept.
+    The rows are 64 bits wide, so the base has at most DEFAULT_MAX_ELEMENTS
+    (64) elements (else TooLargeError), and there must be at least one
+    support, each lying in it (else BaseMismatchError): every up-set
+    lattice holds the empty set.
     Immutable after construction.
     """
 
@@ -154,26 +156,48 @@ class DualLattice:
         """columns[p]: member-index mask of the supports holding element p."""
         return _transpose_rows(self.supports, self.base.n)
 
-    @cached_property
     def strict_bounds(self):
-        """(above, below): per base element p, the member-index masks
-        AND{col[q] : q > p} and OR{col[q] : q < p}. M_p = above & ~col[p]
+        """Per base element p, in element order, (col[p], above, below):
+        the member-index masks AND{col[q] : q > p} and OR{col[q] : q < p},
+        each made as it is yielded and none kept. M_p = above & ~col[p]
         holds the members with p maximal outside, one per upper cover
         U | {p}, and J_p = col[p] & ~below those with p minimal inside,
         one per lower cover U - {p} (Birkhoff). Given λ_p and υ_p, the
         members below λ_p are ~(col[p] | below) and above υ_p col[p] & above."""
         columns, base = self.columns, self.base
-        above, below = [], []
         # A sweep over the base's Hasse covers could make this O(covers).
         for p, (up, down) in enumerate(zip(base.up_masks, base.down_masks)):
-            meet, join = self.full_member_mask, 0
+            above, below = self.full_member_mask, 0
             for q in _bits(up & ~(1 << p)):
-                meet &= columns[q]
+                above &= columns[q]
             for q in _bits(down & ~(1 << p)):
-                join |= columns[q]
-            above.append(meet)
-            below.append(join)
-        return tuple(above), tuple(below)
+                below |= columns[q]
+            yield columns[p], above, below
+
+    @cached_property
+    def order_masks(self):
+        """(meets, joins, unclosed, mismatch), read off one walk of
+        strict_bounds. meets and joins are the member-index masks of the
+        meet- and join-irreducibles: a member has an upper cover per M_p
+        and a lower cover per J_p holding it, and those in exactly one are
+        counted bit-sliced. unclosed is the OR of col[p] & ~above, the
+        members holding some p but not all of ↑p. mismatch is the first
+        (p, below & ~col[p] | col[p] & ~above) that is nonzero, p an
+        element, else None: there members disagree with λ_p or υ_p at p."""
+        meet_once = meet_twice = join_once = join_twice = unclosed = 0
+        mismatch = None
+        for p, (column, above, below) in zip(self.base.elements, self.strict_bounds()):
+            maximal_outside, minimal_inside = above & ~column, column & ~below
+            meet_twice |= meet_once & maximal_outside
+            meet_once |= maximal_outside
+            join_twice |= join_once & minimal_inside
+            join_once |= minimal_inside
+            wrong = below & ~column | column & ~above
+            unclosed |= column & ~above
+            if wrong and mismatch is None:
+                mismatch = p, wrong
+        meets, joins = meet_once & ~meet_twice, join_once & ~join_twice
+        return meets, joins, unclosed, mismatch
 
     @cached_property
     def witnesses(self):
@@ -530,23 +554,6 @@ class IrreducibleReport:
     upsilon_witness: dict = field(hash=False)
 
 
-def _irreducible_masks(lattice):
-    """(meet, join): member-index masks of the meet- and join-irreducibles.
-
-    Member U has an upper cover per M_p holding it and a lower cover per
-    J_p holding it, both read off `DualLattice.strict_bounds`. Members in
-    exactly one are counted bit-sliced, in O(n) big-int operations.
-    """
-    meet_once = meet_twice = join_once = join_twice = 0
-    for column, above, below in zip(lattice.columns, *lattice.strict_bounds):
-        maximal_outside, minimal_inside = above & ~column, column & ~below
-        meet_twice |= meet_once & maximal_outside
-        meet_once |= maximal_outside
-        join_twice |= join_once & minimal_inside
-        join_once |= minimal_inside
-    return meet_once & ~meet_twice, join_once & ~join_twice
-
-
 def _match_witnesses(lattice, found, indices, supports, side):
     # The found irreducibles (a member-index mask) must be exactly the
     # members at the witness indices: a member found elsewhere is reported
@@ -586,7 +593,7 @@ def irreducibles(lattice):
     """
     base = lattice.base
     lambdas, upsilons = lattice.witnesses
-    meets, joins = _irreducible_masks(lattice)
+    meets, joins, _, _ = lattice.order_masks
     off_down = [base.full_mask & ~down for down in base.down_masks]
     meets, lambda_witness = _match_witnesses(lattice, meets, lambdas, off_down, "meet")
     joins, upsilon_witness = _match_witnesses(

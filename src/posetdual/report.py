@@ -56,23 +56,22 @@ def _missing_witness(lattice):
     return None
 
 
-def _check_embedding_characterization(lattice, witnesses):
+def _check_embedding_characterization(lattice):
     # Per element p, the members x where x(p) = 0 and x <= lambda_p
-    # disagree, or x(p) = 1 and x >= upsilon_p do (DualLattice.strict_bounds).
-    bounds = zip(lattice.base.elements, lattice.columns, *lattice.strict_bounds)
-    for p, column, above, below in bounds:
-        wrong = below & ~column | column & ~above
-        if wrong:
-            return False, f"x={_lowest_member_label(lattice, wrong)} p={p}"
+    # disagree, or x(p) = 1 and x >= upsilon_p do (DualLattice.order_masks).
+    mismatch = lattice.order_masks[3]
+    if mismatch:
+        p, wrong = mismatch
+        return False, f"x={_lowest_member_label(lattice, wrong)} p={p}"
     return True, None
 
 
-def _check_embedding_order(lattice, witnesses):
+def _check_embedding_order(lattice):
     # p <= q iff lambda_q <= lambda_p iff upsilon_q <= upsilon_p: per p, the
     # q whose lambda_q lies in lambda_p, and those whose upsilon_q lies in
     # upsilon_p, are each the up-set of p; the lowest q off it is reported.
     base, supports = lattice.base, lattice.supports
-    lambdas, upsilons = ([supports[i] for i in side] for side in witnesses)
+    lambdas, upsilons = ([supports[i] for i in side] for side in lattice.witnesses)
     for p, lam_p, ups_p, up in zip(base.elements, lambdas, upsilons, base.up_masks):
         wrong = _subsets_in(lambdas, lam_p) ^ up
         wrong |= _subsets_in(upsilons, ups_p) ^ up
@@ -82,12 +81,12 @@ def _check_embedding_order(lattice, witnesses):
     return True, None
 
 
-def _check_irreducible_covers(lattice, witnesses):
+def _check_irreducible_covers(lattice):
     # The least member strictly above an embedded element vanishes exactly
     # on the strict down-set of that element: every member strictly above
     # lambda_p holds p, and the first of them is lambda_p with p added.
     base, supports = lattice.base, lattice.supports
-    for p, lam, column in zip(base.elements, witnesses[0], lattice.columns):
+    for p, lam, column in zip(base.elements, lattice.witnesses[0], lattice.columns):
         # Not strict_bounds: the filter above lambda_p is an AND over P - ↓p.
         above = lattice.filter_of(1 << lam) & ~(1 << lam)
         least = (above & -above).bit_length() - 1
@@ -102,10 +101,9 @@ def _check_upset_closure(lattice):
     # whether the members are every up-set, each once: canonical order
     # puts equal supports side by side, where no column tells them apart,
     # and the up-sets are counted.
-    wrong = differ = 0
-    for column, above in zip(lattice.columns, lattice.strict_bounds[0]):
+    wrong, differ = lattice.order_masks[2], 0
+    for column in lattice.columns:
         differ |= column ^ column >> 1
-        wrong |= column & ~above
     if wrong:
         return False, f"member={_lowest_member_label(lattice, wrong)}"
     repeated = lattice.full_member_mask >> 1 & ~differ
@@ -139,14 +137,13 @@ def build_verification_report(name, lattice, use_bruteforce=False):
     record("dual_lattice_closure", *_check_upset_closure(lattice))
     # The checks that read λ_p and υ_p all fail, naming the first element
     # without them, when some are missing.
-    witnesses = lattice.witnesses
     missing = _missing_witness(lattice)
     for key, check in (
         ("embedding_characterization", _check_embedding_characterization),
         ("embedding_order", _check_embedding_order),
         ("irreducible_covers", _check_irreducible_covers),
     ):
-        record(key, *((False, missing) if missing else check(lattice, witnesses)))
+        record(key, *((False, missing) if missing else check(lattice)))
 
     meet_count = join_count = None
     try:

@@ -143,6 +143,22 @@ def irreducible_masks_scan(lattice):
     return meets, joins
 
 
+def strict_bounds_scan(lattice):
+    """(above, below): per base element p, the member-index masks
+    AND{col[q] : q > p} and OR{col[q] : q < p}, held as one table."""
+    columns, base = lattice.columns, lattice.base
+    above, below = [], []
+    for p, (up, down) in enumerate(zip(base.up_masks, base.down_masks)):
+        meet, join = lattice.full_member_mask, 0
+        for q in _bits(up & ~(1 << p)):
+            meet &= columns[q]
+        for q in _bits(down & ~(1 << p)):
+            join |= columns[q]
+        above.append(meet)
+        below.append(join)
+    return tuple(above), tuple(below)
+
+
 def cover_masks_scan(lattice):
     """(outside, inside): per base element p, the member-index mask of
     the members with p maximal outside their support, and of those with

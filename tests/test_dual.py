@@ -13,6 +13,7 @@ from posetdual import (
     MonotoneMap,
     TooLargeError,
     UnknownElementError,
+    build_verification_report,
     emit_lattice_dot,
     enumerate_dual,
     inf_of,
@@ -28,7 +29,6 @@ from posetdual import (
 from posetdual import dual as dual_mod
 from posetdual.dual import (
     _count_upsets,
-    _irreducible_masks,
     _transpose_rows,
     _walk_upset_buckets,
 )
@@ -327,6 +327,39 @@ def test_lattice_and_columns_hold_rows_and_columns_once(monkeypatch):
         assert peak <= 1.6 * (8 * size + p.n * -(-size // 8)) + (64 << 10)
 
 
+def test_report_adds_a_few_masks_to_rows_and_columns():
+    # The rows and columns are built before tracing starts, so the peak
+    # is what the report adds. It reads the strict bounds through one
+    # pass that keeps a few member masks, where a table of them holds 2n:
+    # 60 masks here, over 3 times this bound.
+    lattice = enumerate_dual(random_poset(30, 1, 0.1))
+    lattice.columns
+    tracemalloc.start()
+    try:
+        _, ok = build_verification_report("r30", lattice)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok and len(lattice) == 144460
+    assert peak <= 16 * -(-len(lattice) // 8) + (64 << 10)
+
+
+def test_report_walks_the_strict_bounds_once(monkeypatch):
+    # irreducibles, prime_principal_pairs and the closure and embedding
+    # checks all read order_masks, built by the one walk.
+    walks = []
+    strict_bounds = DualLattice.strict_bounds
+
+    def counted(lattice):
+        walks.append(lattice)
+        return strict_bounds(lattice)
+
+    monkeypatch.setattr(DualLattice, "strict_bounds", counted)
+    lattice = enumerate_dual(random_poset(12, 4, 0.2))
+    assert build_verification_report("r12", lattice)[1]
+    assert len(walks) == 1
+
+
 def test_base_over_64_elements_refused(monkeypatch):
     # enumerate_dual refuses the base before it counts or walks.
     def refuse(*args):
@@ -512,7 +545,7 @@ def test_neighbours_in_square():
 
 
 def test_irreducibility_in_square():
-    meets, joins = _irreducible_masks(ANTI2)
+    meets, joins, _, _ = ANTI2.order_masks
     index = ANTI2.member_index
     assert meets >> index(member(ANTI2, "a")) & 1
     assert not meets >> index(ANTI2.top) & 1

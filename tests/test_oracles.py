@@ -43,7 +43,6 @@ from posetdual import (
     write_lattice_dot,
 )
 from posetdual import dot as dot_mod
-from posetdual import dual as dual_mod
 from posetdual import seconddual as sd_mod
 from posetdual.poset import _bits
 from posetdual.report import _check_embedding_order, _check_upset_closure
@@ -71,6 +70,7 @@ from conftest import (
     least_upper_bound_scan,
     poset_catalog,
     random_suite,
+    strict_bounds_scan,
     transitive_reduction_scan,
     upset_closure_scan,
     witness_supports_scan,
@@ -207,7 +207,7 @@ def fixture_lattices(lattices, wide_antichain):
 
 def test_irreducible_masks_match_cover_scan(fixture_lattices):
     for lattice in fixture_lattices:
-        assert dual_mod._irreducible_masks(lattice) == irreducible_masks_scan(lattice)
+        assert lattice.order_masks[:2] == irreducible_masks_scan(lattice)
 
 
 def test_prime_pair_candidates_match_all_members(fixture_lattices, shuffled_lattices):
@@ -362,18 +362,53 @@ def test_strict_bounds_match_generic_scans(fixture_lattices, shuffled_lattices):
         + list(_corrupted_lattices(CORRUPTED, seed=11))
     ):
         full = lattice.full_member_mask
-        above, below = lattice.strict_bounds
-        bounds = list(zip(lattice.columns, above, below, *lattice.witnesses))
-        for column, up, down, lam, ups in bounds:
+        bounds = list(zip(lattice.strict_bounds(), *lattice.witnesses))
+        for (column, up, down), lam, ups in bounds:
             if lam is not None:
                 assert ~(column | down) & full == lattice.ideal_of(1 << lam)
             if ups is not None:
                 assert column & up == lattice.filter_of(1 << ups)
             witnessed.add((lam is None, ups is None))
-        outside = [up & ~column for column, up, *_ in bounds]
-        inside = [column & ~down for column, _, down, *_ in bounds]
+        outside = [up & ~column for (column, up, _), *_ in bounds]
+        inside = [column & ~down for (column, _, down), *_ in bounds]
         assert (outside, inside) == cover_masks_scan(lattice)
     assert witnessed == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def _members_in_exactly_one(masks, m):
+    return sum(1 << i for i in range(m) if sum(mask >> i & 1 for mask in masks) == 1)
+
+
+def test_order_masks_match_strict_bounds_table(fixture_lattices, shuffled_lattices):
+    # The one pass over the strict bounds gives what readers of the whole
+    # table (strict_bounds_scan) would: the irreducibles, counted member
+    # by member over M_p and J_p, the closure check's OR, and the
+    # embedding check's first element with members off λ_p or υ_p.
+    mismatched = set()
+    for lattice in (
+        fixture_lattices
+        + shuffled_lattices
+        + list(_corrupted_lattices(CORRUPTED, seed=11))
+    ):
+        columns, (above, below) = lattice.columns, strict_bounds_scan(lattice)
+        assert list(lattice.strict_bounds()) == list(zip(columns, above, below))
+        unclosed = 0
+        for column, up in zip(columns, above):
+            unclosed |= column & ~up
+        wrong = [
+            (p, down & ~column | column & ~up)
+            for p, column, up, down in zip(lattice.base.elements, columns, above, below)
+        ]
+        m = len(lattice)
+        expected = (
+            _members_in_exactly_one([u & ~c for c, u in zip(columns, above)], m),
+            _members_in_exactly_one([c & ~d for c, d in zip(columns, below)], m),
+            unclosed,
+            next(((p, mask) for p, mask in wrong if mask), None),
+        )
+        assert lattice.order_masks == expected
+        mismatched.add(expected[3] is None)
+    assert mismatched == {True, False}
 
 
 def test_transitive_reduction_matches_scan(lattices, shuffled_lattices):
@@ -394,7 +429,11 @@ def test_embedding_order_check_on_swapped_witnesses(lattices):
                 swapped = [list(indices) for indices in lattice.witnesses]
                 row = swapped[side]
                 row[a], row[a + 1] = row[a + 1], row[a]
-                verdict = _check_embedding_order(lattice, tuple(swapped))
+                verdict = _check_embedding_order(
+                    SimpleNamespace(
+                        base=lattice.base, supports=supports, witnesses=swapped
+                    )
+                )
                 as_supports = [
                     (p, supports[lam], supports[ups])
                     for p, lam, ups in zip(lattice.base.elements, *swapped)
@@ -494,8 +533,9 @@ def test_corrupted_lattices_get_the_scans_verdicts(monkeypatch):
             assert verdict == REPORT_SCANS[key](lattice)
             seen.add((key, _kind(verdict, ("no-lambda", "no-upsilon"))))
         witnesses = _witnesses_verdict(lattice)
+        scanned = (*irreducible_masks_scan(lattice), *lattice.order_masks[2:])
         with monkeypatch.context() as patch:
-            patch.setattr(dual_mod, "_irreducible_masks", irreducible_masks_scan)
+            patch.setitem(vars(lattice), "order_masks", scanned)
             assert witnesses == _witnesses_verdict(lattice)
         seen.add(("witnesses", _kind(witnesses, "has no member")))
     # Every check passes on some lattices and fails on others, and records
