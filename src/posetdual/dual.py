@@ -7,7 +7,7 @@ poset. Lattice joins and meets are then bitwise or/and of supports.
 
 import sys
 from array import array
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from itertools import compress
 
@@ -30,16 +30,14 @@ _TRANSPOSE8 = (
 )
 
 
-@dataclass(frozen=True)
-class MonotoneMap:
+class MonotoneMap(namedtuple("MonotoneMap", "base support")):
     """One element of the dual lattice: a monotone map base -> {0, 1}.
 
     Two maps are equal iff they have the same base (by identity) and the
     same support.
     """
 
-    base: object
-    support: int
+    __slots__ = ()
 
     def evaluate(self, element):
         return self.support >> self.base.index(element) & 1
@@ -540,18 +538,20 @@ def upsilon_of(lattice, element):
     return _witness(lattice, 1, element)
 
 
-@dataclass(frozen=True)
-class IrreducibleReport:
+class IrreducibleReport(
+    namedtuple(
+        "IrreducibleReport",
+        "meet_irreducibles join_irreducibles lambda_witness upsilon_witness",
+    )
+):
     """Irreducible members with their base-element witnesses.
 
     Every meet-irreducible arises from exactly one base element via
     lambda_of, every join-irreducible via upsilon_of, and conversely.
+    The two witness fields are dicts, so a report is not hashable.
     """
 
-    meet_irreducibles: tuple
-    join_irreducibles: tuple
-    lambda_witness: dict = field(hash=False)
-    upsilon_witness: dict = field(hash=False)
+    __slots__ = ()
 
 
 def _match_witnesses(lattice, found, indices, supports, side):

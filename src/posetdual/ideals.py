@@ -4,19 +4,17 @@ Subsets of the lattice are bitmasks over the canonical member order, so
 all the closure checks below are mask algebra.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress, count
 
 from .errors import LemmaViolationError
 from .poset import _bits, _digits
 
 
-@dataclass(frozen=True)
-class SubsetOfLattice:
+class SubsetOfLattice(namedtuple("SubsetOfLattice", "lattice member_mask")):
     """A subset of a dual lattice's members, as a member-index bitmask."""
 
-    lattice: object
-    member_mask: int
+    __slots__ = ()
 
     @classmethod
     def from_maps(cls, lattice, maps):
@@ -79,8 +77,7 @@ def principal_filter(lattice, x):
     return SubsetOfLattice(lattice, lattice.filter_of(1 << lattice.member_index(x)))
 
 
-@dataclass(frozen=True)
-class PrimePairReport:
+class PrimePairReport(namedtuple("PrimePairReport", "pairs")):
     """Complementary principal ideal/filter pairs with their witnesses.
 
     Each entry (u, v, p) has the interval below u and the interval above v
@@ -88,7 +85,7 @@ class PrimePairReport:
     embeddings. The list is in bijection with the base elements.
     """
 
-    pairs: tuple
+    __slots__ = ()
 
 
 def prime_principal_pairs(lattice):

@@ -5,8 +5,7 @@ one "up-mask" per element (the bitmask of everything greater or equal), so
 leq is a single bit test and up-set checks are word-parallel.
 """
 
-import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import (
     CycleDetectedError,
@@ -18,8 +17,23 @@ from .errors import (
 DEFAULT_MAX_ELEMENTS = 64
 
 
-@dataclass(frozen=True, eq=False)
-class FinitePoset:
+class _Frozen:
+    """Read-only base of the slotted value classes.
+
+    Their __init__ sets each slot once with object.__setattr__; assigning
+    or deleting one later raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FinitePoset(_Frozen):
     """Immutable finite partially ordered set.
 
     up_masks[i] holds the bitmask of indices j with element i <= element j
@@ -28,20 +42,22 @@ class FinitePoset:
     compare by identity; all operations on them are pure.
     """
 
-    elements: tuple
-    up_masks: tuple
-    _index: dict = field(repr=False, compare=False, default=None)
-    down_masks: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("elements", "up_masks", "_index", "down_masks")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {e: i for i, e in enumerate(self.elements)}
-        )
-        down = [0] * len(self.up_masks)
-        for i, up in enumerate(self.up_masks):
+    def __init__(self, elements, up_masks, _index=None):
+        # A passed _index is ignored: the index is always rebuilt here.
+        down = [0] * len(up_masks)
+        for i, up in enumerate(up_masks):
             for j in _bits(up):
                 down[j] |= 1 << i
-        object.__setattr__(self, "down_masks", tuple(down))
+        init = object.__setattr__
+        init(self, "elements", elements)
+        init(self, "up_masks", up_masks)
+        init(self, "_index", {e: i for i, e in enumerate(elements)})
+        init(self, "down_masks", tuple(down))
+
+    def __repr__(self):
+        return f"FinitePoset(elements={self.elements!r}, up_masks={self.up_masks!r})"
 
     @property
     def n(self):
@@ -72,11 +88,10 @@ class FinitePoset:
         return self.down_mask(element) & ~(1 << self.index(element))
 
 
-@dataclass(frozen=True)
-class CoverRelation:
+class CoverRelation(namedtuple("CoverRelation", "pairs")):
     """Hasse diagram: the transitive reduction of a poset's order."""
 
-    pairs: tuple
+    __slots__ = ()
 
 
 def _bits(mask):
@@ -220,6 +235,8 @@ def random_poset(n, seed, density):
     The pairs are drawn lazily, so an n over the element cap is refused
     before any is drawn.
     """
+    import random  # here, its one user, so importing the package does not load it
+
     rng = random.Random(seed)
     elements = [f"e{i}" for i in range(n)]
     pairs = (

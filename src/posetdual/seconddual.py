@@ -6,7 +6,7 @@ preimage of 0), so homs are stored by that single member; comparing homs
 is then one mask comparison.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     BaseMismatchError,
@@ -18,12 +18,10 @@ from .poset import _bits, _subsets_in
 DEFAULT_BRUTEFORCE_CAP = 20
 
 
-@dataclass(frozen=True)
-class BoundedHom:
+class BoundedHom(namedtuple("BoundedHom", "lattice kernel_top")):
     """A lattice hom to {0, 1}, stored by the sup of its zero-preimage."""
 
-    lattice: object
-    kernel_top: object
+    __slots__ = ()
 
     def value(self, x):
         self.lattice.check_member(x)
@@ -116,16 +114,21 @@ def point_of_hom(lattice, hom):
     return base.elements[k]
 
 
-@dataclass(frozen=True)
-class IsomorphismReport:
-    """Outcome of checking base <-> second dual round trips and order."""
+class IsomorphismReport(
+    namedtuple(
+        "IsomorphismReport",
+        "forward backward round_trip_ok order_preserved_ok"
+        " brute_force_matched failures",
+        defaults=((),),
+    )
+):
+    """Outcome of checking base <-> second dual round trips and order.
 
-    forward: dict
-    backward: dict
-    round_trip_ok: bool
-    order_preserved_ok: bool
-    brute_force_matched: object  # True/False, or None when skipped
-    failures: tuple = ()
+    brute_force_matched is True or False, or None when the oracle was
+    skipped; failures defaults to ().
+    """
+
+    __slots__ = ()
 
     @property
     def ok(self):

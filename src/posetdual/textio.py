@@ -15,24 +15,48 @@ elements and relation pairs, and round-trips byte-identically.
 """
 
 import re
-from dataclasses import dataclass
 
 from .errors import (
     DuplicateElementError,
     ParseError,
     UnknownElementError,
 )
-from .poset import poset_from_relations, transitive_reduction
+from .poset import _Frozen, poset_from_relations, transitive_reduction
 
 _IDENT = re.compile(r"[A-Za-z0-9_]+\Z")
 _TOKEN = re.compile(r"\S+")
 
 
-@dataclass(frozen=True)
-class PosetDocument:
-    name: str
-    elements: tuple
-    relations: tuple
+class PosetDocument(_Frozen):
+    """A parsed poset file: its name, element tuple and relation pairs.
+
+    Documents compare and hash by those three fields; they are not tuples.
+    """
+
+    __slots__ = ("name", "elements", "relations")
+
+    def __init__(self, name, elements, relations):
+        init = object.__setattr__
+        init(self, "name", name)
+        init(self, "elements", elements)
+        init(self, "relations", relations)
+
+    def _key(self):
+        return self.name, self.elements, self.relations
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"PosetDocument(name={self.name!r}, elements={self.elements!r},"
+            f" relations={self.relations!r})"
+        )
 
     def canonical(self):
         return PosetDocument(

@@ -297,3 +297,20 @@ def test_module_entry_point():
 def test_package_exports_no_modules():
     for name in posetdual.__all__:
         assert not isinstance(getattr(posetdual, name), types.ModuleType), name
+
+
+def test_import_loads_no_dataclasses_inspect_or_random():
+    # A fresh interpreter without site-packages (-S) imports the CLI from
+    # src alone; the value classes are named tuples and slotted classes,
+    # and random_poset imports random itself, so none of these load.
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, posetdual.cli; "
+         "print(*sorted({'dataclasses', 'inspect', 'random'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "\n"
