@@ -68,8 +68,8 @@ class DualLattice:
     whose members are never reached holds no per-member slot; each member
     has exactly one object however it is reached. The support -> index map
     is likewise built on the first lookup by support: from sup_of/inf_of,
-    check_member and member_index, or the brute-force hom oracle.
-    `verify` without that oracle, `second-dual` and the DOT make none.
+    check_member and member_index. `verify`, `second-dual` and the DOT
+    make none.
     `columns[p]` is the member-index mask of the members whose support
     holds base element p, i.e. the preimage of 1 under evaluation at p;
     evaluation homs and the principal ideal and filter of a set of
@@ -276,15 +276,16 @@ def _transpose_rows(rows, n):
 
     Works through the rows in chunks of _CHUNK_ROWS, a multiple of 8, so
     besides the rows and the transposed planes it holds only chunk-sized
-    copies. Byte plane k of a chunk's little-endian bytes, every 8th byte
-    from byte k, holds bits 8k..8k+7 of each row. Read as one int, each
-    64-bit lane of a plane is an 8x8 bit matrix over 8 consecutive rows
-    (the last lane padded with zero rows), and the delta swaps of
-    _TRANSPOSE8, with their masks repeated across the lanes, transpose
-    every lane at once. The result is copied into plane k at the chunk's
-    offset. Byte c of each lane of plane k then holds bit 8k + c of those
-    8 rows, so every 8th byte from byte c, read as one little-endian int,
-    is column 8k + c; each plane is released once its columns are read.
+    copies. Byte plane k of a chunk, every 8th byte from byte k of its
+    little-endian rows (from byte 7 - k of big-endian ones), holds bits
+    8k..8k+7 of each row. Read as one int, each 64-bit lane of a plane is
+    an 8x8 bit matrix over 8 consecutive rows (the last lane padded with
+    zero rows), and the delta swaps of _TRANSPOSE8, with their masks
+    repeated across the lanes, transpose every lane at once. The result
+    is copied into plane k at the chunk's offset. Byte c of each lane of
+    plane k then holds bit 8k + c of those 8 rows, so every 8th byte from
+    byte c, read as one little-endian int, is column 8k + c; each plane
+    is released once its columns are read.
     """
     lanes = -(-min(len(rows), _CHUNK_ROWS) // 8)
     # No delta swap moves a bit out of its lane, so the masks of a full
@@ -294,16 +295,13 @@ def _transpose_rows(rows, n):
         for shift, mask in _TRANSPOSE8
     ]
     planes = [bytearray(-(-len(rows) // 8) * 8) for _ in range(-(-n // 8))]
+    flip = 7 if sys.byteorder == "big" else 0
     with memoryview(rows).cast("B") as raw:
         for start in range(0, len(raw), 8 * _CHUNK_ROWS):
             chunk = raw[start : start + 8 * _CHUNK_ROWS].tobytes()
-            if sys.byteorder == "big":
-                swapped = array("Q", chunk)
-                swapped.byteswap()
-                chunk = swapped.tobytes()
             size = -(-len(chunk) // 64) * 8
             for k, plane in enumerate(planes):
-                x = int.from_bytes(chunk[k::8], "little")
+                x = int.from_bytes(chunk[k ^ flip :: 8], "little")
                 for shift, mask in swaps:
                     t = (x >> shift ^ x) & mask
                     x ^= t ^ t << shift

@@ -44,8 +44,7 @@ class FinitePoset(_Frozen):
 
     __slots__ = ("elements", "up_masks", "_index", "down_masks")
 
-    def __init__(self, elements, up_masks, _index=None):
-        # A passed _index is ignored: the index is always rebuilt here.
+    def __init__(self, elements, up_masks):
         down = [0] * len(up_masks)
         for i, up in enumerate(up_masks):
             for j in _bits(up):

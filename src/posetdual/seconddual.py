@@ -35,52 +35,40 @@ def hom_leq(g, h):
     return h.kernel_top.support & ~g.kernel_top.support == 0
 
 
-def _down_rows(lattice):
-    # down[i]: member-index mask of the members below member i, from
-    # comparing supports pairwise (O(m^2)), sharing nothing with the
-    # member columns.
-    supports = lattice.supports
-    return [
-        sum(1 << j for j, sj in enumerate(supports) if sj & ~si == 0)
-        for si in supports
-    ]
-
-
 def enumerate_second_dual_bruteforce(lattice):
     """All valid homs, in canonical order of kernel top.
 
     A valid hom's zero side is nonempty, downward closed and join closed,
     so in a finite lattice it is the principal ideal of its join k. The
-    only candidates are thus the m maps that are 0 exactly below some
-    member k. Each is a hom iff it sends the bottom to 0 and the top to
-    1, and the meet of the one side's supports lies on the one side: an
-    up-set is meet closed iff it holds the meet of all its members (Davey
-    & Priestley, ch. 2). The zero side needs no test. It is the members
-    whose support lies in k's, so it is downward closed because inclusion
-    is transitive, and the join of its supports is k's own support, which
-    lies on it. Only supports are compared, not the member columns or the
-    base poset, so this stays independent of evaluation_hom: it is the
-    oracle side of the isomorphism check. On a family not closed under
-    intersection, a missing meet raises KeyError.
+    only candidates are thus the m maps that are 0 exactly on the members
+    whose support lies in k's. Each is a hom iff it sends the bottom to 0
+    and the top to 1, and the meet of the one side's supports is the
+    support of a member on the one side: an up-set is meet closed iff it
+    holds the meet of all its members (Davey & Priestley, ch. 2). The
+    zero side needs no test. It is downward closed because inclusion is
+    transitive, and the join of its supports is k's own support, which
+    lies on it. Only the supports are read, each candidate scanning all
+    m of them, so this stays independent of evaluation_hom and the member
+    columns: it is the oracle side of the isomorphism check. On a family
+    not closed under intersection, a candidate whose meet is no member's
+    support is not a hom.
     """
-    m = len(lattice)
+    supports = lattice.supports
+    m = len(supports)
     if m > DEFAULT_BRUTEFORCE_CAP:
         raise TooLargeError(
             f"brute-force hom enumeration over {m} members exceeds cap "
             f"{DEFAULT_BRUTEFORCE_CAP}"
         )
-    down = _down_rows(lattice)
-    supports = lattice.supports
-    index_of = lattice._member_index
     homs = []
-    for k, zeros in enumerate(down):
-        ones = lattice.full_member_mask & ~zeros
-        if ones & 1 or not ones >> (m - 1) & 1:
+    for k, kernel in enumerate(supports):
+        if supports[0] & ~kernel or not supports[-1] & ~kernel:
             continue  # the bottom must map to 0 and the top to 1
         meet = -1
-        for i in _bits(ones):
-            meet &= supports[i]
-        if ones >> index_of[meet] & 1:
+        for support in supports:
+            if support & ~kernel:
+                meet &= support
+        if meet & ~kernel and meet in supports:
             homs.append(BoundedHom(lattice, lattice.member(k)))
     return homs
 

@@ -23,7 +23,6 @@ from posetdual import (
 )
 from posetdual.dot import _graph_id, support_label
 from posetdual.poset import _bits
-from posetdual.seconddual import _down_rows
 from posetdual.textio import PosetDocument, _significant_lines
 
 
@@ -318,6 +317,17 @@ def irreducible_covers_scan(lattice):
         if least != lam | 1 << i:
             return False, f"p={p}"
     return True, None
+
+
+def _down_rows(lattice):
+    """down[i]: member-index mask of the members below member i, from
+    comparing supports pairwise (O(m^2)), sharing nothing with the member
+    columns."""
+    supports = lattice.supports
+    return [
+        sum(1 << j for j, sj in enumerate(supports) if sj & ~si == 0)
+        for si in supports
+    ]
 
 
 def _ones_mask_checker(lattice, down):

@@ -25,9 +25,9 @@ from posetdual import (
     upsilon_of,
 )
 from posetdual.poset import random_poset
-from posetdual.seconddual import _down_rows
 
 from conftest import (
+    _down_rows,
     _ones_mask_checker,
     all_labeled_posets,
     intervals_scan,

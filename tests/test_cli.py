@@ -250,6 +250,14 @@ def test_hasse_to_stdout():
     assert '"a" -> "b";' in out and '"b" -> "c";' in out
 
 
+def test_hasse_to_dot_file(tmp_path):
+    dot = tmp_path / "hasse.dot"
+    code, out, _ = run(["hasse", str(SAMPLES / "chain3.poset"), "--dot", str(dot)])
+    assert code == 0
+    assert out == ""
+    assert dot.read_text() == run(["hasse", str(SAMPLES / "chain3.poset")])[1]
+
+
 def test_second_dual_subcommand():
     code, out, _ = run(
         ["second-dual", str(SAMPLES / "vee.poset"), "--brute-force"]
@@ -257,6 +265,23 @@ def test_second_dual_subcommand():
     assert code == 0
     assert "round_trip: true" in out
     assert "brute_force: true" in out
+    code, out, _ = run(["second-dual", str(SAMPLES / "vee.poset")])
+    assert code == 0
+    assert "brute_force: skipped" in out
+
+
+def test_second_dual_round_trip_failure_exits_one(monkeypatch):
+    # Without the up-set {b}, the evaluation hom at a has the empty
+    # kernel, which is the down-set of b: the round trip sends a to b.
+    monkeypatch.setattr(
+        dual_mod,
+        "enumerate_dual",
+        lambda poset, max_members: dual_mod.DualLattice(poset, [0, 0b11]),
+    )
+    code, out, err = run(["second-dual", str(SAMPLES / "chain2.poset")])
+    assert code == 1
+    assert "round_trip: false" in out
+    assert err == ""
 
 
 def test_irreducibles_and_primes_subcommands():

@@ -435,6 +435,16 @@ def test_pointwise_leq():
         pointwise_leq(CHAIN2.bottom, ANTI2.bottom)
 
 
+def test_check_member_refuses_maps_outside_the_lattice():
+    # A map over another base, or over this base with a support the
+    # family lacks, is not a member.
+    lattice = DualLattice(CHAIN2.base, [0, 0b11])
+    lattice.check_member(CHAIN2.bottom)
+    for x in (member(CHAIN2, "b"), ANTI2.bottom):
+        with pytest.raises(BaseMismatchError):
+            lattice.check_member(x)
+
+
 def test_sup_inf_conventions():
     assert sup_of(CHAIN2, []) is CHAIN2.bottom
     assert inf_of(CHAIN2, []) is CHAIN2.top

@@ -72,6 +72,33 @@ def test_parse_errors_have_positions():
     assert (exc.value.line, exc.value.column) == (4, 5)
 
 
+@pytest.mark.parametrize(
+    "text, line, expected",
+    [
+        ("", 1, "'poset <name>'"),
+        ("# only a comment\n", 1, "'poset <name>'"),
+        ("poset P\n", 2, "'elements:'"),
+        ("poset P\n\n# a note\nelement: a\n", 4, "'elements:'"),
+        ("poset P\nelements: a\n", 3, "'relations:'"),
+        ("poset P\nelements: a\nrelation:\n", 3, "'relations:'"),
+    ],
+    ids=[
+        "empty",
+        "comment-only",
+        "eof-after-poset",
+        "not-elements",
+        "eof-after-elements",
+        "not-relations",
+    ],
+)
+def test_parse_header_errors(text, line, expected):
+    # A missing header line is reported on the line after the last one
+    # read, a wrong one on its own line, blank and comment lines counted.
+    with pytest.raises(ParseError, match=expected) as exc:
+        parse_poset(text)
+    assert exc.value.line == line
+
+
 # Whitespace that str.split() and the regex \S+ must both split on; none
 # of it ends a line for str.splitlines().
 SEPARATORS = (" ", "  ", "\t", " \t ", "\x1f", "\xa0", "\u3000")

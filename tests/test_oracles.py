@@ -46,9 +46,9 @@ from posetdual import dot as dot_mod
 from posetdual import seconddual as sd_mod
 from posetdual.poset import _bits
 from posetdual.report import _check_embedding_order, _check_upset_closure
-from posetdual.seconddual import _down_rows
 
 from conftest import (
+    _down_rows,
     _ones_mask_checker,
     chain,
     complementary_pairs_scan,
@@ -136,27 +136,45 @@ def test_second_dual_candidates_match_all_maps(lattices):
     assert checked > 200
 
 
+def _pairwise_homs(lattice):
+    # The candidates that the pairwise checker accepts; KeyError where a
+    # pair on one side has no join or meet in the family.
+    down = _down_rows(lattice)
+    ok = _ones_mask_checker(lattice, down)
+    full = lattice.full_member_mask
+    return [
+        BoundedHom(lattice, lattice.member(k))
+        for k in range(len(lattice))
+        if ok(full & ~down[k])
+    ]
+
+
 def test_second_dual_candidates_match_pairwise_checker(
     monkeypatch, lattices, shuffled_lattices
 ):
-    # The oracle checks one join and one meet per candidate; the pairwise
-    # checker every pair of members on each side.
+    # The oracle checks one meet per candidate; the pairwise checker
+    # every pair of members on each side. On a family that is not an
+    # up-set lattice they agree wherever the checker finds every join
+    # and meet it looks up.
     monkeypatch.setattr(sd_mod, "DEFAULT_BRUTEFORCE_CAP", PAIRWISE_CAP)
     checked = 0
     for lattice in lattices + shuffled_lattices:
         if len(lattice) > PAIRWISE_CAP:
             continue
-        down = _down_rows(lattice)
-        ok = _ones_mask_checker(lattice, down)
-        full = lattice.full_member_mask
-        expected = [
-            BoundedHom(lattice, lattice.member(k))
-            for k in range(len(lattice))
-            if ok(full & ~down[k])
-        ]
-        assert enumerate_second_dual_bruteforce(lattice) == expected
+        assert enumerate_second_dual_bruteforce(lattice) == _pairwise_homs(lattice)
         checked += 1
     assert checked > 250
+    outcomes = {"equal": 0, "no reference": 0}
+    for lattice in _corrupted_lattices(CORRUPTED, seed=11):
+        assert len(lattice) <= PAIRWISE_CAP
+        try:
+            expected = _pairwise_homs(lattice)
+        except KeyError:
+            outcomes["no reference"] += 1
+            continue
+        assert enumerate_second_dual_bruteforce(lattice) == expected
+        outcomes["equal"] += 1
+    assert min(outcomes.values()) > 100
 
 
 @pytest.fixture(scope="module")
@@ -560,6 +578,20 @@ def test_report_passes_exactly_the_up_set_lattices():
         assert ok == genuine and (tree["result"] == "pass") == genuine
         passed += ok
     assert passed > 0
+
+
+def test_bruteforce_report_passes_exactly_the_up_set_lattices():
+    # With the oracle on, every family it runs on gets a verdict, and it
+    # passes exactly the genuine ones; some fail only the oracle.
+    seen = set()
+    for lattice in _corrupted_lattices(CORRUPTED, seed=11):
+        if len(lattice) > sd_mod.DEFAULT_BRUTEFORCE_CAP:
+            continue
+        genuine = lattice.supports == enumerate_dual(lattice.base).supports
+        tree, ok = build_verification_report("c", lattice, use_bruteforce=True)
+        assert ok == genuine and (tree["result"] == "pass") == genuine
+        seen.add((genuine, tree["checks"]["second_dual_brute_force"]))
+    assert seen == {(True, "pass"), (False, "pass"), (False, "fail")}
 
 
 def test_repeated_supports_fail_closure(lattices):

@@ -163,8 +163,10 @@ def test_cycle_reports_lexicographically_smallest():
 def test_duplicate_and_unknown_elements():
     with pytest.raises(DuplicateElementError):
         poset_from_relations(["a", "a"], [])
-    with pytest.raises(UnknownElementError):
+    with pytest.raises(UnknownElementError, match="'b'"):
         poset_from_relations(["a"], [("b", "a")])
+    with pytest.raises(UnknownElementError, match="'c'"):
+        poset_from_relations(["a"], [("a", "c")])
     p = chain("a", "b")
     with pytest.raises(UnknownElementError):
         leq(p, "a", "z")

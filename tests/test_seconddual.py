@@ -1,10 +1,12 @@
 import pytest
 
 from posetdual import (
+    BaseMismatchError,
     BoundedHom,
     DualLattice,
     NoWitnessError,
     TooLargeError,
+    build_verification_report,
     enumerate_dual,
     enumerate_second_dual_bruteforce,
     evaluation_hom,
@@ -19,9 +21,9 @@ from posetdual import (
     verify_isomorphism,
 )
 from posetdual import seconddual as sd_mod
-from posetdual.seconddual import _down_rows
 
 from conftest import (
+    _down_rows,
     _ones_mask_checker,
     isomorphism_failures_scan,
     poset_catalog,
@@ -85,12 +87,21 @@ def test_bruteforce_cap():
         enumerate_second_dual_bruteforce(enumerate_dual(p))
 
 
-def test_bruteforce_raises_on_missing_meet():
+def test_bruteforce_rejects_candidate_with_missing_meet():
     # {a, b} and {b, c} lie on the one side of the candidate below the
-    # empty support, and their meet {b} is not in the family.
+    # empty support, and their meet {b} is not in the family, so that
+    # candidate is no hom. The report then fails the oracle's comparison
+    # with the three evaluation homs instead of raising.
     base = poset_from_relations(["a", "b", "c"], [])
-    with pytest.raises(KeyError):
-        enumerate_second_dual_bruteforce(DualLattice(base, [0, 0b011, 0b110, 0b111]))
+    lattice = DualLattice(base, [0, 0b011, 0b110, 0b111])
+    homs = enumerate_second_dual_bruteforce(lattice)
+    assert [h.kernel_top.support for h in homs] == [0b011, 0b110]
+    tree, ok = build_verification_report("t", lattice, use_bruteforce=True)
+    assert not ok and tree["result"] == "fail"
+    assert tree["checks"]["second_dual_brute_force"] == "fail"
+    assert "brute force found 2 homs, evaluation gives 3" in (
+        tree["counterexamples"]["second_dual_brute_force"]
+    )
 
 
 def test_evaluation_hom_kernels():
@@ -128,6 +139,16 @@ def test_verify_builds_no_support_index():
     assert "witnesses" not in vars(lattice)
     lattice.index_of_support(0)
     assert "_member_index" in vars(lattice)
+
+
+def test_homs_over_different_lattices_are_refused():
+    # Two lattices over the same base still hold distinct homs.
+    other = enumerate_dual(CHAIN2.base)
+    g, h = evaluation_hom(CHAIN2, "a"), evaluation_hom(other, "a")
+    with pytest.raises(BaseMismatchError):
+        hom_leq(g, h)
+    with pytest.raises(BaseMismatchError):
+        point_of_hom(CHAIN2, h)
 
 
 def test_kernel_preimages_are_principal_and_complementary():
@@ -202,6 +223,17 @@ def test_bruteforce_cap_boundary():
     with pytest.raises(TooLargeError):
         enumerate_second_dual_bruteforce(over_cap)
     assert verify_isomorphism(over_cap, use_bruteforce=True).brute_force_matched is None
+
+
+def test_bruteforce_builds_no_support_index():
+    # The oracle reads the supports alone: it makes no support -> index
+    # map, and member objects only for the homs it returns.
+    lattice = chain(19)
+    assert len(lattice) == 20
+    assert verify_isomorphism(lattice, use_bruteforce=True).brute_force_matched
+    assert "_member_index" not in vars(lattice)
+    fresh = chain(19)
+    assert len(enumerate_second_dual_bruteforce(fresh)) == len(fresh._made) == 19
 
 
 def test_round_trip_on_catalog():
