@@ -72,10 +72,10 @@ class DualLattice:
     make none.
     `columns[p]` is the member-index mask of the members whose support
     holds base element p, i.e. the preimage of 1 under evaluation at p;
-    evaluation homs and the principal ideal and filter of a set of
-    members, `ideal_of(mask)` and `filter_of(mask)`, are read from it in
-    O(n) big-int operations, and the Hasse covers, via `strict_bounds`, in
-    O(n^2). `witnesses` holds the member indices of λ_p and υ_p per base
+    an evaluation hom is read from its one column, the principal ideal
+    and filter of a set of members, `ideal_of(mask)` and `filter_of(mask)`,
+    from all n, and the Hasse covers, via `strict_bounds`, in O(n^2).
+    `witnesses` holds the member indices of λ_p and υ_p per base
     element, read off the columns; lambda_of/upsilon_of, irreducibles,
     the prime pairs, the report and the DOT annotations all read it. The
     columns, the witnesses and `order_masks`, the masks the irreducibles
@@ -570,6 +570,8 @@ def _match_witnesses(lattice, found, indices, supports, side):
             raise LemmaViolationError(
                 f"embedded element {p!r} has no member", counterexample=support
             )
+        # Never on a reflexive, antisymmetric base: λ_p lies in M_p and in
+        # no other M_q, υ_p in J_p alone, so both are always found.
         if not found >> i & 1:
             raise LemmaViolationError(
                 f"embedded element {p!r} gives a reducible member",

@@ -77,13 +77,11 @@ def evaluation_hom(lattice, element):
     """The hom sending each member to its value at the given base element.
 
     Its preimage of 1 is the element's column; its kernel top, the join of
-    the zero side, is the last member of the ideal below that join in
-    canonical order. O(n) big-int operations on the member columns.
+    the zero side, is that side's last member, one m-bit mask operation:
+    the columns inside col[p] OR to col[p] on any family of supports.
     """
     zeros = lattice.full_member_mask & ~lattice.columns[lattice.base.index(element)]
-    # Not strict_bounds: off up-sets, this ORs the columns inside col[p].
-    kernel_top = lattice.member(lattice.ideal_of(zeros).bit_length() - 1)
-    return BoundedHom(lattice, kernel_top)
+    return BoundedHom(lattice, lattice.member(zeros.bit_length() - 1))
 
 
 def point_of_hom(lattice, hom):

@@ -105,6 +105,14 @@ def evaluation_columns_scan(lattice):
     )
 
 
+def evaluation_kernel_scan(lattice, p):
+    """The kernel top of ev_p as the last member of the ideal below the
+    join of its zero side, found by the interval scan over every column."""
+    column = lattice.columns[lattice.base.index(p)]
+    ideal = lattice.ideal_of(lattice.full_member_mask & ~column)
+    return lattice.member(ideal.bit_length() - 1)
+
+
 def transpose_rows_scan(rows, n):
     """columns[p]: bit i set iff bit p of rows[i] is, read off each row's
     n binary digits, the last row's first."""

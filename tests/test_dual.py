@@ -9,6 +9,7 @@ import pytest
 from posetdual import (
     BaseMismatchError,
     DualLattice,
+    FinitePoset,
     LemmaViolationError,
     MonotoneMap,
     TooLargeError,
@@ -584,6 +585,15 @@ def test_irreducibles_empty_poset():
     assert report.meet_irreducibles == ()
     assert report.join_irreducibles == ()
     assert report.lambda_witness == {}
+
+
+def test_irreducibles_refuse_a_reducible_lambda():
+    # a's up-mask misses a itself, so λ_a, the member {a}, lies in no M_p:
+    # it is at its witness index but has no upper cover.
+    lattice = DualLattice(FinitePoset(("a",), (0,)), [1])
+    with pytest.raises(LemmaViolationError, match="gives a reducible member") as exc:
+        irreducibles(lattice)
+    assert exc.value.counterexample is lattice.member(0)
 
 
 def test_irreducible_counts_match_base():

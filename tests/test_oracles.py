@@ -31,6 +31,7 @@ from posetdual import (
     emit_lattice_dot,
     enumerate_dual,
     enumerate_second_dual_bruteforce,
+    evaluation_hom,
     irreducibles,
     is_filter,
     is_ideal,
@@ -55,6 +56,7 @@ from conftest import (
     cover_masks_scan,
     embedding_characterization_scan,
     embedding_order_scan,
+    evaluation_kernel_scan,
     fence,
     greatest_below,
     greatest_lower_bound_scan,
@@ -367,6 +369,27 @@ def test_witness_indices_match_scan(fixture_lattices, shuffled_lattices):
         assert first == missing
         complete.add(missing is None)
     assert complete == {True, False}
+
+
+def test_evaluation_kernels_match_interval_scan(fixture_lattices, shuffled_lattices):
+    # The zero side of ev_p is the ideal below its own join on any family,
+    # so its last member is the scan's kernel top; where every member
+    # holds p the side is empty and both give the top.
+    emptied = False
+    for lattice in (
+        fixture_lattices
+        + shuffled_lattices
+        + list(_corrupted_lattices(CORRUPTED, seed=11))
+    ):
+        for p, column in zip(lattice.base.elements, lattice.columns):
+            top = evaluation_hom(lattice, p).kernel_top
+            assert top is evaluation_kernel_scan(lattice, p)
+            emptied |= column == lattice.full_member_mask
+    assert emptied
+    anti2 = poset_from_relations(["a", "b"], [])
+    lattice = DualLattice(anti2, [0b01, 0b11])
+    assert evaluation_hom(lattice, "a").kernel_top is lattice.top
+    assert evaluation_kernel_scan(lattice, "a") is lattice.top
 
 
 def test_strict_bounds_match_generic_scans(fixture_lattices, shuffled_lattices):

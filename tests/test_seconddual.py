@@ -1,3 +1,6 @@
+import io
+from pathlib import Path
+
 import pytest
 
 from posetdual import (
@@ -17,6 +20,7 @@ from posetdual import (
     principal_filter,
     principal_ideal,
     random_poset,
+    run_cli,
     support_label,
     verify_isomorphism,
 )
@@ -36,6 +40,7 @@ def make(elements, pairs):
     return enumerate_dual(poset_from_relations(elements, pairs))
 
 
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_posets"
 CHAIN2 = make(["a", "b"], [("a", "b")])
 ANTI2 = make(["a", "b"], [])
 
@@ -139,6 +144,24 @@ def test_verify_builds_no_support_index():
     assert "witnesses" not in vars(lattice)
     lattice.index_of_support(0)
     assert "_member_index" in vars(lattice)
+
+
+def test_evaluation_homs_scan_no_intervals(monkeypatch):
+    # Each kernel top is read off its own column: neither the round trip
+    # nor the second-dual command asks for an interval.
+    calls = []
+    ideal_of = DualLattice.ideal_of
+
+    def counted(self, mask):
+        calls.append(mask)
+        return ideal_of(self, mask)
+
+    monkeypatch.setattr(DualLattice, "ideal_of", counted)
+    assert verify_isomorphism(make(["a", "b", "c"], [("a", "b")])).ok
+    out = io.StringIO()
+    assert run_cli(["second-dual", str(SAMPLES / "diamond.poset")], out=out) == 0
+    assert "  round_trip: true\n" in out.getvalue()
+    assert calls == []
 
 
 def test_homs_over_different_lattices_are_refused():
