@@ -18,7 +18,7 @@ DEFAULT_MAX_MEMBERS = 1 << 22
 # The up-set walk stops splitting once at most this many elements are
 # undecided, and appends that remainder's memoized up-sets in one copy.
 _TAIL_ELEMENTS = 8
-# _transpose_rows reads the rows this many (64 KiB) at a time.
+# The row transposes read the rows this many (64 KiB) at a time.
 _CHUNK_ROWS = 8192
 # The three delta swaps (shift, lane mask) of Warren's transpose8 (Hacker's
 # Delight 7-3): together they transpose the 8x8 bit matrix held in a
@@ -72,15 +72,16 @@ class DualLattice:
     make none.
     `columns[p]` is the member-index mask of the members whose support
     holds base element p, i.e. the preimage of 1 under evaluation at p;
-    an evaluation hom is read from its one column, the principal ideal
-    and filter of a set of members, `ideal_of(mask)` and `filter_of(mask)`,
-    from all n, and the Hasse covers, via `strict_bounds`, in O(n^2).
-    `witnesses` holds the member indices of λ_p and υ_p per base
-    element, read off the columns; lambda_of/upsilon_of, irreducibles,
-    the prime pairs, the report and the DOT annotations all read it. The
-    columns, the witnesses and `order_masks`, the masks the irreducibles
+    the principal ideal and filter of a set of members, `ideal_of(mask)`
+    and `filter_of(mask)`, are read from all n, and the Hasse covers, via
+    `strict_bounds`, in O(n^2). `last_without[p]`, the last member
+    lacking p, is read off the rows: the kernel top of the evaluation
+    hom at p and the index of λ_p. `witnesses` holds the member indices
+    of λ_p and υ_p per base element; lambda_of/upsilon_of, irreducibles,
+    the prime pairs, the report and the DOT annotations all read it.
+    These, `upset_count` and `order_masks`, the masks the irreducibles
     and the report read off one walk of the strict bounds, are each
-    built once, on first use; the strict bounds themselves are not kept.
+    built once, on first use; the strict bounds are not kept.
     The rows are 64 bits wide, so the base has at most DEFAULT_MAX_ELEMENTS
     (64) elements (else TooLargeError), and there must be at least one
     support, each lying in it (else BaseMismatchError): every up-set
@@ -99,11 +100,13 @@ class DualLattice:
         self._setup(base, array("Q", supports))
 
     @classmethod
-    def _canonical(cls, base, supports):
+    def _canonical(cls, base, supports, upset_count):
         """A lattice over an array('Q') of supports already in canonical
-        order and inside the base; nothing is sorted or checked."""
+        order and inside the base, given its up-set count; nothing is
+        sorted, checked or counted."""
         lattice = cls.__new__(cls)
         lattice._setup(base, supports)
+        lattice.upset_count = upset_count
         return lattice
 
     def _setup(self, base, supports):
@@ -153,6 +156,12 @@ class DualLattice:
     def columns(self):
         """columns[p]: member-index mask of the supports holding element p."""
         return _transpose_rows(self.supports, self.base.n)
+
+    @cached_property
+    def last_without(self):
+        """last_without[p]: the index of the last member whose support lacks
+        element p, or -1 when every member holds it."""
+        return _last_without(self.supports, self.base.n)
 
     def strict_bounds(self):
         """Per base element p, in element order, (col[p], above, below):
@@ -210,13 +219,20 @@ class DualLattice:
         """
         base, supports = self.base, self.supports
         lambdas, upsilons = [], []
-        for column, down, up in zip(self.columns, base.down_masks, base.up_masks):
-            outside = self.full_member_mask & ~column
-            lambdas.append(
-                _located(supports, outside.bit_length() - 1, base.full_mask & ~down)
-            )
+        rows = zip(self.last_without, self.columns, base.down_masks, base.up_masks)
+        for i, column, down, up in rows:
+            lambdas.append(_located(supports, i, base.full_mask & ~down))
             upsilons.append(_located(supports, (column & -column).bit_length() - 1, up))
         return tuple(lambdas), tuple(upsilons)
+
+    @cached_property
+    def upset_count(self):
+        """The number of up-sets of the base, or None when over len(self):
+        enumerate_dual's count, else counted with a budget of len(self)."""
+        try:
+            return _count_upsets(self.base, len(self))
+        except TooLargeError:
+            return None
 
     @cached_property
     def _member_index(self):
@@ -270,42 +286,48 @@ def _located(supports, i, support):
         return None
 
 
+def _lane_swaps(m):
+    """_TRANSPOSE8 with each mask repeated over the lanes of a chunk of an
+    m-row array; no swap moves a bit out of its lane, so the masks of a
+    full chunk serve the shorter last chunk too."""
+    lanes = -(-min(m, _CHUNK_ROWS) // 8)
+    return [
+        (shift, int.from_bytes(mask.to_bytes(8, "little") * lanes, "little"))
+        for shift, mask in _TRANSPOSE8
+    ]
+
+
+def _transposed_plane(chunk, k, swaps):
+    """Byte plane k of a chunk of rows (bytes): every 8th byte from byte k
+    of little-endian rows (7 - k of big-endian ones), read as one int of
+    64-bit lanes, each an 8x8 bit matrix over 8 rows (the last padded
+    with zeros) that the swaps transpose, so that byte c of a lane holds
+    bit 8k + c of its 8 rows."""
+    x = int.from_bytes(chunk[k ^ 7 if sys.byteorder == "big" else k :: 8], "little")
+    for shift, mask in swaps:
+        t = (x >> shift ^ x) & mask
+        x ^= t ^ t << shift
+    return x.to_bytes(-(-len(chunk) // 64) * 8, "little")
+
+
 def _transpose_rows(rows, n):
     """The n columns of an array('Q') of rows: column p is the int whose
     bit i is bit p of rows[i].
 
     Works through the rows in chunks of _CHUNK_ROWS, a multiple of 8, so
-    besides the rows and the transposed planes it holds only chunk-sized
-    copies. Byte plane k of a chunk, every 8th byte from byte k of its
-    little-endian rows (from byte 7 - k of big-endian ones), holds bits
-    8k..8k+7 of each row. Read as one int, each 64-bit lane of a plane is
-    an 8x8 bit matrix over 8 consecutive rows (the last lane padded with
-    zero rows), and the delta swaps of _TRANSPOSE8, with their masks
-    repeated across the lanes, transpose every lane at once. The result
-    is copied into plane k at the chunk's offset. Byte c of each lane of
-    plane k then holds bit 8k + c of those 8 rows, so every 8th byte from
-    byte c, read as one little-endian int, is column 8k + c; each plane
-    is released once its columns are read.
+    besides the rows and the planes it holds only chunk-sized copies.
+    Each chunk's byte plane k is copied into plane k at its offset, and
+    every 8th byte from byte c of plane k, read as one int, is column
+    8k + c; each plane is released once its columns are read.
     """
-    lanes = -(-min(len(rows), _CHUNK_ROWS) // 8)
-    # No delta swap moves a bit out of its lane, so the masks of a full
-    # chunk serve the shorter last chunk too.
-    swaps = [
-        (shift, int.from_bytes(mask.to_bytes(8, "little") * lanes, "little"))
-        for shift, mask in _TRANSPOSE8
-    ]
     planes = [bytearray(-(-len(rows) // 8) * 8) for _ in range(-(-n // 8))]
-    flip = 7 if sys.byteorder == "big" else 0
+    swaps = _lane_swaps(len(rows))
     with memoryview(rows).cast("B") as raw:
         for start in range(0, len(raw), 8 * _CHUNK_ROWS):
             chunk = raw[start : start + 8 * _CHUNK_ROWS].tobytes()
-            size = -(-len(chunk) // 64) * 8
             for k, plane in enumerate(planes):
-                x = int.from_bytes(chunk[k ^ flip :: 8], "little")
-                for shift, mask in swaps:
-                    t = (x >> shift ^ x) & mask
-                    x ^= t ^ t << shift
-                plane[start // 8 : start // 8 + size] = x.to_bytes(size, "little")
+                x = _transposed_plane(chunk, k, swaps)
+                plane[start // 8 : start // 8 + len(x)] = x
     columns = []
     for k in range(len(planes)):
         plane, planes[k] = planes[k], None
@@ -313,6 +335,29 @@ def _transpose_rows(rows, n):
             int.from_bytes(plane[c::8], "little") for c in range(min(8, n - 8 * k))
         )
     return tuple(columns)
+
+
+def _last_without(rows, n):
+    """Per p < n, the index of the last row of an array('Q') without bit
+    p, or -1 when every row has it: _transpose_rows' chunks are read from
+    the end, each transposing only the byte planes of elements not yet
+    found, whose highest zero bit in the chunk's column is the answer."""
+    last, todo = [-1] * n, (1 << n) - 1
+    swaps = _lane_swaps(len(rows))
+    with memoryview(rows).cast("B") as raw:
+        for start in reversed(range(0, len(raw), 8 * _CHUNK_ROWS)):
+            if not todo:
+                break
+            chunk = raw[start : start + 8 * _CHUNK_ROWS].tobytes()
+            rows_mask = (1 << len(chunk) // 8) - 1
+            for k in {p >> 3 for p in _bits(todo)}:
+                plane = _transposed_plane(chunk, k, swaps)
+                for p in _bits(todo & 0xFF << 8 * k):
+                    zeros = rows_mask & ~int.from_bytes(plane[p & 7 :: 8], "little")
+                    if zeros:
+                        last[p] = start // 8 + zeros.bit_length() - 1
+                        todo ^= 1 << p
+    return tuple(last)
 
 
 def _walk_upset_buckets(poset):
@@ -490,7 +535,7 @@ def enumerate_dual(poset, max_members=DEFAULT_MAX_MEMBERS):
         supports += buckets.pop()
     if len(supports) != count:
         raise LemmaViolationError(f"walked {len(supports)} up-sets but counted {count}")
-    return DualLattice._canonical(poset, supports)
+    return DualLattice._canonical(poset, supports, count)
 
 
 def pointwise_leq(x, y):

@@ -4,7 +4,7 @@ Reports are nested string-keyed dicts rendered as 'key: value' lines,
 keys sorted, two-space indent per level. No timestamps, no paths.
 """
 
-from .errors import LemmaViolationError, TooLargeError
+from .errors import LemmaViolationError
 from . import dual as dual_mod
 from . import ideals as ideals_mod
 from . import seconddual as sd_mod
@@ -110,11 +110,7 @@ def _check_upset_closure(lattice):
     if repeated:
         return False, f"member={_lowest_member_label(lattice, repeated)} repeated"
     m = len(lattice)
-    try:
-        upsets = dual_mod._count_upsets(lattice.base, m)
-    except TooLargeError:
-        upsets = None
-    if upsets != m:
+    if lattice.upset_count != m:
         return False, f"members={m} missing-up-sets"
     return True, None
 

@@ -76,12 +76,14 @@ def enumerate_second_dual_bruteforce(lattice):
 def evaluation_hom(lattice, element):
     """The hom sending each member to its value at the given base element.
 
-    Its preimage of 1 is the element's column; its kernel top, the join of
-    the zero side, is that side's last member, one m-bit mask operation:
-    the columns inside col[p] OR to col[p] on any family of supports.
+    Its preimage of 0 is the members lacking the element. Its kernel top,
+    the join of that zero side, is the side's last member on any family of
+    supports, since the ideal below the side's join is the side itself
+    (the columns inside col[p] OR to col[p]). It is read off
+    `lattice.last_without`, and is the top when the side is empty.
     """
-    zeros = lattice.full_member_mask & ~lattice.columns[lattice.base.index(element)]
-    return BoundedHom(lattice, lattice.member(zeros.bit_length() - 1))
+    i = lattice.last_without[lattice.base.index(element)]
+    return BoundedHom(lattice, lattice.member(i))
 
 
 def point_of_hom(lattice, hom):

@@ -115,9 +115,17 @@ def evaluation_kernel_scan(lattice, p):
 
 def transpose_rows_scan(rows, n):
     """columns[p]: bit i set iff bit p of rows[i] is, read off each row's
-    n binary digits, the last row's first."""
-    digits = [format(row, f"0{n}b") for row in reversed(rows)]
+    n binary digits, the last row's first (after a leading 1, so that a
+    0-element base has no column)."""
+    digits = [format(row | 1 << n, "b")[1:] for row in reversed(rows)]
     return tuple(int("".join(column), 2) for column in zip(*digits))[::-1]
+
+
+def last_without_scan(rows, n):
+    """last_without[p]: the highest i whose rows[i] lacks bit p, or -1, as
+    the top bit of the complement of transpose_rows_scan's column p."""
+    full = (1 << len(rows)) - 1
+    return tuple((full & ~c).bit_length() - 1 for c in transpose_rows_scan(rows, n))
 
 
 def intervals_scan(lattice):

@@ -40,6 +40,22 @@ def test_verify_chain_passes():
     assert err == ""
 
 
+def test_verify_counts_the_up_sets_once(monkeypatch):
+    # enumerate_dual checks its walk against the count, and the report's
+    # closure check reads the count the lattice kept.
+    calls = []
+    count_upsets = dual_mod._count_upsets
+
+    def counted(poset, limit):
+        calls.append(limit)
+        return count_upsets(poset, limit)
+
+    monkeypatch.setattr(dual_mod, "_count_upsets", counted)
+    code, out, _ = run(["verify", str(SAMPLES / "diamond.poset")])
+    assert code == 0 and "  dual_lattice_closure: pass\n" in out
+    assert calls == [dual_mod.DEFAULT_MAX_MEMBERS]
+
+
 def test_verify_reports_are_byte_identical():
     argv = ["verify", str(SAMPLES / "diamond.poset"), "--brute-force"]
     assert run(argv) == run(argv)

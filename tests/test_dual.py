@@ -30,6 +30,7 @@ from posetdual import (
 from posetdual import dual as dual_mod
 from posetdual.dual import (
     _count_upsets,
+    _last_without,
     _transpose_rows,
     _walk_upset_buckets,
 )
@@ -40,6 +41,7 @@ from conftest import (
     fence,
     greatest_below,
     greatest_lower_bound_scan,
+    last_without_scan,
     least_above,
     least_upper_bound_scan,
     poset_catalog,
@@ -279,19 +281,40 @@ def test_columns_at_row_byte_edges():
 def test_transpose_at_chunk_boundaries(monkeypatch):
     # m runs over 1 and 2 chunks and a part, each side of every chunk and
     # lane edge; the n-bit rows are random, so every bit plane is dense.
+    # _last_without reads the same chunks from the end.
     chunk = dual_mod._CHUNK_ROWS
     rng = random.Random(20)
     for n in (1, 8, 9, 63, 64):
         for m in (1, 7, 8, chunk - 1, chunk, chunk + 1, 2 * chunk + 13):
             rows = array("Q", (rng.getrandbits(n) for _ in range(m)))
             assert _transpose_rows(rows, n) == transpose_rows_scan(rows, n)
-    # The big-endian branch byteswaps each chunk; the last rows (2 chunks
+            assert _last_without(rows, n) == last_without_scan(rows, n)
+    # The big-endian branch reads byte plane 7 - k; the last rows (2 chunks
     # and 13 rows of 64 bits), byteswapped by hand, stand for a big-endian
     # host's.
     swapped = array("Q", rows)
     swapped.byteswap()
     monkeypatch.setattr(sys, "byteorder", "big")
     assert _transpose_rows(swapped, 64) == transpose_rows_scan(rows, 64)
+    assert _last_without(swapped, 64) == last_without_scan(rows, 64)
+
+
+def test_last_without_reaches_the_first_row(monkeypatch):
+    # Element p is missing only from row p, if there is one: the scan
+    # walks back through every chunk and ends at row p or, past the rows,
+    # at -1. Each family is also read as a big-endian host's.
+    chunk = dual_mod._CHUNK_ROWS
+    for n, m in ((9, 5), (9, 2 * chunk + 13), (64, chunk + 1), (64, 2 * chunk + 13)):
+        full = (1 << n) - 1
+        rows = array("Q", [full & ~(1 << i) for i in range(min(n, m))])
+        rows.extend([full] * (m - len(rows)))
+        expected = last_without_scan(rows, n)
+        assert expected == tuple(p if p < m else -1 for p in range(n))
+        assert _last_without(rows, n) == expected
+        rows.byteswap()
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "byteorder", "big")
+            assert _last_without(rows, n) == expected
 
 
 def test_lattice_and_columns_hold_rows_and_columns_once(monkeypatch):

@@ -66,6 +66,7 @@ from conftest import (
     irreducible_masks_scan,
     is_filter_pairwise,
     is_ideal_pairwise,
+    last_without_scan,
     lattice_cover_edges_scan,
     lattice_dot_scan,
     least_above,
@@ -373,14 +374,16 @@ def test_witness_indices_match_scan(fixture_lattices, shuffled_lattices):
 
 def test_evaluation_kernels_match_interval_scan(fixture_lattices, shuffled_lattices):
     # The zero side of ev_p is the ideal below its own join on any family,
-    # so its last member is the scan's kernel top; where every member
-    # holds p the side is empty and both give the top.
+    # so its last member, last_without[p], is the scan's kernel top; where
+    # every member holds p the side is empty and both give the top.
     emptied = False
     for lattice in (
         fixture_lattices
         + shuffled_lattices
         + list(_corrupted_lattices(CORRUPTED, seed=11))
     ):
+        expected = last_without_scan(lattice.supports, lattice.base.n)
+        assert lattice.last_without == expected
         for p, column in zip(lattice.base.elements, lattice.columns):
             top = evaluation_hom(lattice, p).kernel_top
             assert top is evaluation_kernel_scan(lattice, p)
@@ -628,6 +631,8 @@ def test_repeated_supports_fail_closure(lattices):
             assert verdict == upset_closure_scan(twice)
             assert verdict[1].endswith(" repeated")
             assert not build_verification_report("t", twice)[1]
+            # λ_p is the last member without p, a repeated one its copy.
+            assert twice.witnesses[0] == twice.last_without
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from posetdual import (
     support_label,
     verify_isomorphism,
 )
+from posetdual import dual as dual_mod
 from posetdual import seconddual as sd_mod
 
 from conftest import (
@@ -147,7 +149,7 @@ def test_verify_builds_no_support_index():
 
 
 def test_evaluation_homs_scan_no_intervals(monkeypatch):
-    # Each kernel top is read off its own column: neither the round trip
+    # Each kernel top is read off last_without: neither the round trip
     # nor the second-dual command asks for an interval.
     calls = []
     ideal_of = DualLattice.ideal_of
@@ -162,6 +164,36 @@ def test_evaluation_homs_scan_no_intervals(monkeypatch):
     assert run_cli(["second-dual", str(SAMPLES / "diamond.poset")], out=out) == 0
     assert "  round_trip: true\n" in out.getvalue()
     assert calls == []
+
+
+@pytest.mark.parametrize("flags", [[], ["--brute-force"]])
+def test_second_dual_builds_no_columns(monkeypatch, flags):
+    # Each kernel top is read off last_without, a backward scan of the
+    # rows; the round trip, the order check and the oracle read no column.
+    def refuse(*args):
+        raise AssertionError("transposed the rows into columns")
+
+    monkeypatch.setattr(dual_mod, "_transpose_rows", refuse)
+    for path in sorted(SAMPLES.glob("*.poset")):
+        out = io.StringIO()
+        assert run_cli(["second-dual", str(path), *flags], out=out) == 0
+        assert "  round_trip: true\n" in out.getvalue()
+        assert ("  brute_force: true\n" in out.getvalue()) == bool(flags)
+
+
+def test_second_dual_adds_under_two_bytes_a_member():
+    # The rows are built before tracing starts, so the peak is what the
+    # evaluation homs and their checks add: a chunk of rows and a few of
+    # its byte planes, where the 30 columns took 3.75 bytes a member.
+    lattice = enumerate_dual(random_poset(30, 1, 0.1))
+    tracemalloc.start()
+    try:
+        assert verify_isomorphism(lattice).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lattice) == 144460
+    assert peak <= 2 * len(lattice) + (64 << 10)
 
 
 def test_homs_over_different_lattices_are_refused():
