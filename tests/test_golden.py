@@ -29,6 +29,9 @@ CASES = {
     "hasse": ("hasse", [], False),
     "verify-dot": ("verify", [], True),
     "dual-dot-label-embeddings": ("dual", ["--label-embeddings"], True),
+    "dual-dot": ("dual", [], True),
+    "verify": ("verify", [], False),
+    "second-dual": ("second-dual", [], False),
 }
 
 
