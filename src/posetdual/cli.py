@@ -79,6 +79,9 @@ def _build_parser():
         p = sub.add_parser(cmd, help=helptext)
         p.add_argument("file", help="poset file")
         if cmd != "hasse":
+            # The lattice runner reads these on every subcommand; verify
+            # labels its DOT's embedded elements without a flag.
+            p.set_defaults(dot=None, label_embeddings=cmd == "verify")
             p.add_argument(
                 "--max-members",
                 type=nonnegative_int,
@@ -116,16 +119,36 @@ def _load(args):
     return doc, build_poset(doc)
 
 
-def _open_dot(path):
-    return open(path, "w", encoding="utf-8")
+def _write_text(text, path, out):
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        out.write(text)
 
 
-def _cmd_dual(args, out):
+def _run_on_dual(body, args, out):
+    """Run one lattice subcommand: enumerate FILE's dual under
+    --max-members, write the report `body` gives, headed by the poset,
+    then the lattice DOT if --dot names a path."""
     doc, poset = _load(args)
     lattice = dual_mod.enumerate_dual(poset, max_members=args.max_members)
+    tree, ok = body(args, doc.name, lattice)
+    tree["poset"] = {"name": doc.name, "size": poset.n}
+    out.write(render(tree))
+    if args.dot:
+        with open(args.dot, "w", encoding="utf-8") as fh:
+            write_lattice_dot(lattice, fh, doc.name, args.label_embeddings)
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
+
+
+# Each body returns (report tree, verdict); the runner sets the tree's
+# poset heading.
+
+
+def _dual(args, name, lattice):
     irr = dual_mod.irreducibles(lattice)
-    tree = {
-        "poset": {"name": doc.name, "size": poset.n},
+    return {
         "dual": {
             "members": len(lattice),
             "bottom": support_label(lattice.bottom),
@@ -133,53 +156,35 @@ def _cmd_dual(args, out):
             "meet_irreducibles": len(irr.meet_irreducibles),
             "join_irreducibles": len(irr.join_irreducibles),
         },
-    }
-    out.write(render(tree))
-    if args.dot:
-        with _open_dot(args.dot) as fh:
-            write_lattice_dot(lattice, fh, doc.name, args.label_embeddings)
-    return EXIT_OK
+    }, True
 
 
-def _cmd_irreducibles(args, out):
-    doc, poset = _load(args)
-    lattice = dual_mod.enumerate_dual(poset, max_members=args.max_members)
+def _irreducibles(args, name, lattice):
     irr = dual_mod.irreducibles(lattice)
-    tree = {
-        "poset": {"name": doc.name, "size": poset.n},
+    return {
         "meet_irreducibles": {
             support_label(x): p for x, p in irr.lambda_witness.items()
         },
         "join_irreducibles": {
             support_label(x): p for x, p in irr.upsilon_witness.items()
         },
-    }
-    out.write(render(tree))
-    return EXIT_OK
+    }, True
 
 
-def _cmd_primes(args, out):
-    doc, poset = _load(args)
-    lattice = dual_mod.enumerate_dual(poset, max_members=args.max_members)
+def _primes(args, name, lattice):
     pairs = ideals_mod.prime_principal_pairs(lattice)
-    tree = {
-        "poset": {"name": doc.name, "size": poset.n},
+    return {
         "pairs": {
             p: f"ideal_top={support_label(u)} filter_bottom={support_label(v)}"
             for u, v, p in pairs.pairs
         },
         "pair_count": len(pairs.pairs),
-    }
-    out.write(render(tree))
-    return EXIT_OK
+    }, True
 
 
-def _cmd_second_dual(args, out):
-    doc, poset = _load(args)
-    lattice = dual_mod.enumerate_dual(poset, max_members=args.max_members)
+def _second_dual(args, name, lattice):
     iso = sd_mod.verify_isomorphism(lattice, use_bruteforce=args.brute_force)
-    tree = {
-        "poset": {"name": doc.name, "size": poset.n},
+    return {
         "second_dual": {
             "members": len(iso.forward),
             "round_trip": iso.round_trip_ok,
@@ -189,53 +194,31 @@ def _cmd_second_dual(args, out):
                 p: support_label(h.kernel_top) for p, h in iso.forward.items()
             },
         },
-    }
-    out.write(render(tree))
-    return EXIT_OK if iso.ok else EXIT_CHECK_FAILED
+    }, iso.ok
 
 
-def _cmd_verify(args, out):
-    doc, poset = _load(args)
-    lattice = dual_mod.enumerate_dual(poset, max_members=args.max_members)
-    tree, ok = build_verification_report(
-        doc.name, lattice, use_bruteforce=args.brute_force
-    )
-    out.write(render(tree))
-    if args.dot:
-        with _open_dot(args.dot) as fh:
-            write_lattice_dot(lattice, fh, doc.name, label_embeddings=True)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+def _verify(args, name, lattice):
+    return build_verification_report(name, lattice, use_bruteforce=args.brute_force)
 
 
 def _cmd_hasse(args, out):
     doc, poset = _load(args)
-    text = emit_poset_dot(poset, doc.name)
-    if args.dot:
-        with _open_dot(args.dot) as fh:
-            fh.write(text)
-    else:
-        out.write(text)
+    _write_text(emit_poset_dot(poset, doc.name), args.dot, out)
     return EXIT_OK
 
 
 def _cmd_random(args, out):
     poset = random_poset(args.n, args.seed, args.density)
-    doc = document_from_poset(poset, args.name)
-    text = canonical_text(doc)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
+    _write_text(canonical_text(document_from_poset(poset, args.name)), args.out, out)
     return EXIT_OK
 
 
 _COMMANDS = {
-    "dual": _cmd_dual,
-    "irreducibles": _cmd_irreducibles,
-    "primes": _cmd_primes,
-    "second-dual": _cmd_second_dual,
-    "verify": _cmd_verify,
+    "dual": functools.partial(_run_on_dual, _dual),
+    "irreducibles": functools.partial(_run_on_dual, _irreducibles),
+    "primes": functools.partial(_run_on_dual, _primes),
+    "second-dual": functools.partial(_run_on_dual, _second_dual),
+    "verify": functools.partial(_run_on_dual, _verify),
     "hasse": _cmd_hasse,
     "random": _cmd_random,
 }

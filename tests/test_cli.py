@@ -116,6 +116,29 @@ def test_missing_file_exit_code():
     assert code == 2
 
 
+def one_error_line(err):
+    return err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["dual", "verify"])
+def test_directory_as_file_exit_code(command, tmp_path):
+    code, out, err = run([command, str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert one_error_line(err), err
+
+
+@pytest.mark.parametrize("command", ["dual", "verify"])
+def test_dot_into_missing_directory_exits_after_the_report(command, tmp_path):
+    diamond = str(SAMPLES / "diamond.poset")
+    dot = tmp_path / "missing" / "out.dot"
+    code, out, err = run([command, diamond, "--dot", str(dot)])
+    assert code == 2
+    assert one_error_line(err), err
+    # The report is complete on stdout before the DOT file is opened.
+    assert out == run([command, diamond])[1]
+    assert not dot.parent.exists()
+
+
 def test_non_ascii_file_exit_code(tmp_path):
     f = tmp_path / "accent.poset"
     f.write_text("poset caf\u00e9\nelements: a\nrelations:\n", encoding="utf-8")
