@@ -1,7 +1,9 @@
 """Batch CLI: construction, inspection, and lemma verification.
 
-Exit codes: 0 success / all checks pass, 1 a lemma check failed,
-2 parse or input error, 3 size cap exceeded.
+Exit codes, which run_cli reads off each error's class: 0 success / all
+checks pass, 1 a lemma check failed (LemmaViolationError), 2 a parse,
+input or other package error (any other PosetDualError, OSError or
+UnicodeDecodeError), 3 size cap exceeded (TooLargeError).
 """
 
 import argparse
@@ -12,14 +14,7 @@ from . import dual as dual_mod
 from . import ideals as ideals_mod
 from . import seconddual as sd_mod
 from .dot import emit_poset_dot, support_label, write_lattice_dot
-from .errors import (
-    CycleDetectedError,
-    DuplicateElementError,
-    LemmaViolationError,
-    ParseError,
-    TooLargeError,
-    UnknownElementError,
-)
+from .errors import LemmaViolationError, PosetDualError, TooLargeError
 from .poset import random_poset
 from .report import build_verification_report, render
 from .textio import (
@@ -237,14 +232,7 @@ def run_cli(argv=None, out=None, err=None):
     except LemmaViolationError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_CHECK_FAILED
-    except (
-        ParseError,
-        UnknownElementError,
-        DuplicateElementError,
-        CycleDetectedError,
-        OSError,
-        UnicodeDecodeError,
-    ) as exc:
+    except (PosetDualError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_INPUT_ERROR
 

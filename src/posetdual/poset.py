@@ -138,6 +138,11 @@ def _transitive_closure(up):
     return up
 
 
+def _check_element_cap(n, max_elements=DEFAULT_MAX_ELEMENTS):
+    if n > max_elements:
+        raise TooLargeError(f"poset has {n} elements, cap is {max_elements}")
+
+
 def poset_from_relations(elements, pairs, max_elements=DEFAULT_MAX_ELEMENTS):
     """Build a poset from generating pairs (lower, upper).
 
@@ -155,10 +160,7 @@ def poset_from_relations(elements, pairs, max_elements=DEFAULT_MAX_ELEMENTS):
         if e in seen:
             raise DuplicateElementError(f"duplicate element: {e!r}")
         seen.add(e)
-    if len(elements) > max_elements:
-        raise TooLargeError(
-            f"poset has {len(elements)} elements, cap is {max_elements}"
-        )
+    _check_element_cap(len(elements), max_elements)
     index = {e: i for i, e in enumerate(elements)}
     up = [1 << i for i in range(len(elements))]
     preds = [[] for _ in elements]
@@ -231,9 +233,10 @@ def random_poset(n, seed, density):
 
     Samples each strict upper-triangular pair (in index order) with the
     given probability, then takes the transitive closure; never cyclic.
-    The pairs are drawn lazily, so an n over the element cap is refused
-    before any is drawn.
+    An n over the element cap is refused before any name is built or
+    pair drawn.
     """
+    _check_element_cap(n)
     import random  # here, its one user, so importing the package does not load it
 
     rng = random.Random(seed)

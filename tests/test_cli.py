@@ -10,7 +10,10 @@ import pytest
 
 import posetdual
 from posetdual import (
+    BaseMismatchError,
     LemmaViolationError,
+    NoWitnessError,
+    PosetDualError,
     build_poset,
     emit_lattice_dot,
     enumerate_dual,
@@ -137,6 +140,21 @@ def test_dot_into_missing_directory_exits_after_the_report(command, tmp_path):
     # The report is complete on stdout before the DOT file is opened.
     assert out == run([command, diamond])[1]
     assert not dot.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hasse", str(SAMPLES / "diamond.poset"), "--dot"],
+        ["random", "3", "--out"],
+    ],
+)
+def test_hasse_and_random_into_missing_directory_exit_two(argv, tmp_path):
+    target = tmp_path / "missing" / "out"
+    code, out, err = run(argv + [str(target)])
+    assert (code, out) == (2, "")
+    assert one_error_line(err), err
+    assert not target.parent.exists()
 
 
 def test_non_ascii_file_exit_code(tmp_path):
@@ -281,6 +299,23 @@ def test_lemma_violation_exits_one(command, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "error: meet-irreducible member has no witness\n"
+
+
+class _LaterError(PosetDualError):
+    pass
+
+
+@pytest.mark.parametrize("error", [BaseMismatchError, NoWitnessError, _LaterError])
+def test_other_package_errors_exit_two(error, monkeypatch):
+    # run_cli maps errors by class, so a package error no arm names
+    # exits 2 instead of escaping as a traceback.
+    def broken(lattice):
+        raise error("no base element for this kernel")
+
+    monkeypatch.setattr(dual_mod, "irreducibles", broken)
+    code, out, err = run(["dual", str(SAMPLES / "vee.poset")])
+    assert (code, out) == (2, "")
+    assert err == "error: no base element for this kernel\n"
 
 
 def test_hasse_to_stdout():

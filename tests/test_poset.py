@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -285,6 +286,19 @@ def test_random_poset_reproducible():
     assert a.up_masks == b.up_masks
     c = random_poset(6, 124, 0.5)
     assert a.up_masks != c.up_masks or True  # different seed may coincide
+
+
+def test_random_poset_over_cap_refused_before_naming():
+    # Refused on n alone, before any of the 10^5 names is built.
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError) as exc:
+            random_poset(10**5, 0, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "poset has 100000 elements, cap is 64"
+    assert peak < 1 << 20, peak
 
 
 def test_random_poset_extremes():
