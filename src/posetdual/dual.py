@@ -79,9 +79,9 @@ class DualLattice:
     hom at p and the index of λ_p. `witnesses` holds the member indices
     of λ_p and υ_p per base element; lambda_of/upsilon_of, irreducibles,
     the prime pairs, the report and the DOT annotations all read it.
-    These, `upset_count` and `order_masks`, the masks the irreducibles
-    and the report read off one walk of the strict bounds, are each
-    built once, on first use; the strict bounds are not kept.
+    These, `upset_count` and `order_masks`, the irreducible and closure
+    masks read off one walk of the strict bounds, are each built once,
+    on first use; the strict bounds are not kept.
     The rows are 64 bits wide, so the base has at most DEFAULT_MAX_ELEMENTS
     (64) elements (else TooLargeError), and there must be at least one
     support, each lying in it (else BaseMismatchError): every up-set
@@ -184,28 +184,21 @@ class DualLattice:
 
     @cached_property
     def order_masks(self):
-        """(meets, joins, unclosed, mismatch), read off one walk of
-        strict_bounds. meets and joins are the member-index masks of the
-        meet- and join-irreducibles: a member has an upper cover per M_p
-        and a lower cover per J_p holding it, and those in exactly one are
-        counted bit-sliced. unclosed is the OR of col[p] & ~above, the
-        members holding some p but not all of ↑p. mismatch is the first
-        (p, below & ~col[p] | col[p] & ~above) that is nonzero, p an
-        element, else None: there members disagree with λ_p or υ_p at p."""
+        """(meets, joins, unclosed), read off one walk of strict_bounds.
+        meets and joins are the member-index masks of the meet- and
+        join-irreducibles: a member has an upper cover per M_p and a lower
+        cover per J_p holding it, and those in exactly one are counted
+        bit-sliced. unclosed is the OR of col[p] & ~above, the members
+        holding some p but not all of ↑p."""
         meet_once = meet_twice = join_once = join_twice = unclosed = 0
-        mismatch = None
-        for p, (column, above, below) in zip(self.base.elements, self.strict_bounds()):
+        for column, above, below in self.strict_bounds():
             maximal_outside, minimal_inside = above & ~column, column & ~below
             meet_twice |= meet_once & maximal_outside
             meet_once |= maximal_outside
             join_twice |= join_once & minimal_inside
             join_once |= minimal_inside
-            wrong = below & ~column | column & ~above
             unclosed |= column & ~above
-            if wrong and mismatch is None:
-                mismatch = p, wrong
-        meets, joins = meet_once & ~meet_twice, join_once & ~join_twice
-        return meets, joins, unclosed, mismatch
+        return meet_once & ~meet_twice, join_once & ~join_twice, unclosed
 
     @cached_property
     def witnesses(self):
@@ -639,7 +632,7 @@ def irreducibles(lattice):
     """
     base = lattice.base
     lambdas, upsilons = lattice.witnesses
-    meets, joins, _, _ = lattice.order_masks
+    meets, joins, _ = lattice.order_masks
     off_down = [base.full_mask & ~down for down in base.down_masks]
     meets, lambda_witness = _match_witnesses(lattice, meets, lambdas, off_down, "meet")
     joins, upsilon_witness = _match_witnesses(

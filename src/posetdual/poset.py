@@ -138,12 +138,12 @@ def _transitive_closure(up):
     return up
 
 
-def _check_element_cap(n, max_elements=DEFAULT_MAX_ELEMENTS):
-    if n > max_elements:
-        raise TooLargeError(f"poset has {n} elements, cap is {max_elements}")
+def _check_element_cap(n):
+    if n > DEFAULT_MAX_ELEMENTS:
+        raise TooLargeError(f"poset has {n} elements, cap is {DEFAULT_MAX_ELEMENTS}")
 
 
-def poset_from_relations(elements, pairs, max_elements=DEFAULT_MAX_ELEMENTS):
+def poset_from_relations(elements, pairs):
     """Build a poset from generating pairs (lower, upper).
 
     The result is the reflexive-transitive closure of the pairs, found by
@@ -160,7 +160,7 @@ def poset_from_relations(elements, pairs, max_elements=DEFAULT_MAX_ELEMENTS):
         if e in seen:
             raise DuplicateElementError(f"duplicate element: {e!r}")
         seen.add(e)
-    _check_element_cap(len(elements), max_elements)
+    _check_element_cap(len(elements))
     index = {e: i for i, e in enumerate(elements)}
     up = [1 << i for i in range(len(elements))]
     preds = [[] for _ in elements]

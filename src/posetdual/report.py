@@ -58,12 +58,18 @@ def _missing_witness(lattice):
 
 def _check_embedding_characterization(lattice):
     # Per element p, the members x where x(p) = 0 and x <= lambda_p
-    # disagree, or x(p) = 1 and x >= upsilon_p do (DualLattice.order_masks).
-    mismatch = lattice.order_masks[3]
-    if mismatch:
-        p, wrong = mismatch
-        return False, f"x={_lowest_member_label(lattice, wrong)} p={p}"
-    return True, None
+    # disagree, or x(p) = 1 and x >= upsilon_p do: below & ~col[p] |
+    # col[p] & ~above. Over all p they OR to order_masks' unclosed, as
+    # down_masks is the transpose of up_masks: one holding q < p but not p
+    # lies in col[q] & ~above_q. So the first p is sought only on failure.
+    if not lattice.order_masks[2]:
+        return True, None
+    bounds = zip(lattice.base.elements, lattice.strict_bounds())
+    for p, (column, above, below) in bounds:
+        wrong = below & ~column | column & ~above
+        if wrong:
+            break
+    return False, f"x={_lowest_member_label(lattice, wrong)} p={p}"
 
 
 def _check_embedding_order(lattice):

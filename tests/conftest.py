@@ -12,6 +12,7 @@ from itertools import combinations, product
 from posetdual import (
     BoundedHom,
     DuplicateElementError,
+    FinitePoset,
     NoWitnessError,
     ParseError,
     UnknownElementError,
@@ -352,11 +353,12 @@ def _ones_mask_checker(lattice, down):
     # and join closed, one side meet closed (upward closure follows).
     # Every sup and inf in a finite lattice is an iterated pairwise one,
     # so this equals preserving arbitrary sups and infs. Lookups are read
-    # once per lattice; down is _down_rows(lattice).
+    # once per lattice; down is _down_rows(lattice). The support lookup
+    # is built here, so the reference shares none with the lattice.
     top_bit = 1 << (len(lattice) - 1)
     full = lattice.full_member_mask
     supports = lattice.supports
-    index_of = lattice._member_index
+    index_of = {support: i for i, support in enumerate(supports)}
 
     def ok(ones_mask):
         if ones_mask & 1:
@@ -485,14 +487,14 @@ def greatest_lower_bound_scan(lattice, maps):
 
 def member_poset(lattice):
     """The lattice itself as a finite poset over names m0, m1, ... in
-    canonical member order, built from all pairwise comparisons."""
-    names = [f"m{i}" for i in range(len(lattice.members))]
-    pairs = []
-    for i, x in enumerate(lattice.members):
-        for j, y in enumerate(lattice.members):
-            if i != j and x.support & ~y.support == 0:
-                pairs.append((names[i], names[j]))
-    return poset_from_relations(names, pairs, max_elements=len(names) or 1)
+    canonical member order, its up-masks from all pairwise support
+    inclusions, which are already reflexive and transitive."""
+    supports = lattice.supports
+    names = tuple(f"m{i}" for i in range(len(supports)))
+    up = tuple(
+        sum(1 << j for j, y in enumerate(supports) if x & ~y == 0) for x in supports
+    )
+    return FinitePoset(names, up)
 
 
 def lattice_cover_edges_scan(lattice):
@@ -695,10 +697,10 @@ def random_suite(count=200, max_n=6):
     return out
 
 
-def chain(n, max_elements=64):
+def chain(n):
     """c0 < c1 < ... < c(n-1): n + 1 up-sets."""
     names = [f"c{i}" for i in range(n)]
-    return poset_from_relations(names, zip(names, names[1:]), max_elements)
+    return poset_from_relations(names, zip(names, names[1:]))
 
 
 def fence(n):

@@ -370,7 +370,10 @@ def test_report_adds_a_few_masks_to_rows_and_columns():
 
 def test_report_walks_the_strict_bounds_once(monkeypatch):
     # irreducibles, prime_principal_pairs and the closure and embedding
-    # checks all read order_masks, built by the one walk.
+    # checks all read order_masks, built by the one walk. The embedding
+    # check walks again, for its first element, only when closure fails:
+    # here the four subsets of {a, b} over the chain a < b, where {a} is
+    # not an up-set but every λ_p and υ_p is a member.
     walks = []
     strict_bounds = DualLattice.strict_bounds
 
@@ -379,9 +382,18 @@ def test_report_walks_the_strict_bounds_once(monkeypatch):
         return strict_bounds(lattice)
 
     monkeypatch.setattr(DualLattice, "strict_bounds", counted)
-    lattice = enumerate_dual(random_poset(12, 4, 0.2))
-    assert build_verification_report("r12", lattice)[1]
-    assert len(walks) == 1
+    for name, lattice in (
+        ("r12", enumerate_dual(random_poset(12, 4, 0.2))),
+        ("a13", enumerate_dual(antichain(13))),
+    ):
+        assert build_verification_report(name, lattice)[1]
+        assert walks == [lattice]
+        walks.clear()
+    unclosed = DualLattice(CHAIN2.base, [0, 1, 2, 3])
+    tree, ok = build_verification_report("c2", unclosed)
+    assert not ok and tree["checks"]["dual_lattice_closure"] == "fail"
+    assert tree["counterexamples"]["embedding_characterization"] == "x={a} p=a"
+    assert walks == [unclosed, unclosed]
 
 
 def test_base_over_64_elements_refused(monkeypatch):
@@ -391,7 +403,10 @@ def test_base_over_64_elements_refused(monkeypatch):
 
     monkeypatch.setattr(dual_mod, "_count_upsets", refuse)
     monkeypatch.setattr(dual_mod, "_walk_upset_buckets", refuse)
-    p = chain(65, max_elements=65)
+    # The 65-chain, built directly: poset_from_relations caps it at 64.
+    full = (1 << 65) - 1
+    names = tuple(f"c{i}" for i in range(65))
+    p = FinitePoset(names, tuple(-1 << i & full for i in range(65)))
     message = "^dual lattice over 65 elements, cap is 64$"
     with pytest.raises(TooLargeError, match=message):
         DualLattice(p, [0])
@@ -579,7 +594,7 @@ def test_neighbours_in_square():
 
 
 def test_irreducibility_in_square():
-    meets, joins, _, _ = ANTI2.order_masks
+    meets, joins, _ = ANTI2.order_masks
     index = ANTI2.member_index
     assert meets >> index(member(ANTI2, "a")) & 1
     assert not meets >> index(ANTI2.top) & 1
