@@ -75,13 +75,12 @@ class DualLattice:
     the principal ideal and filter of a set of members, `ideal_of(mask)`
     and `filter_of(mask)`, are read from all n, and the Hasse covers, via
     `strict_bounds`, in O(n^2). `last_without[p]`, the last member
-    lacking p, is read off the rows: the kernel top of the evaluation
-    hom at p and the index of λ_p. `witnesses` holds the member indices
-    of λ_p and υ_p per base element; lambda_of/upsilon_of, irreducibles,
-    the prime pairs, the report and the DOT annotations all read it.
-    These, `upset_count` and `order_masks`, the irreducible and closure
-    masks read off one walk of the strict bounds, are each built once,
-    on first use; the strict bounds are not kept.
+    lacking p and the kernel top of the evaluation hom at p, is read off
+    the rows. One walk of the strict bounds gives `order_masks`, the
+    irreducible and closure masks, and `witnesses`, the member indices
+    of λ_p and υ_p that lambda_of/upsilon_of, irreducibles, the prime
+    pairs, the report and the DOT annotations read. These and
+    `upset_count` are built once, on first use; the bounds are not kept.
     The rows are 64 bits wide, so the base has at most DEFAULT_MAX_ELEMENTS
     (64) elements (else TooLargeError), and there must be at least one
     support, each lying in it (else BaseMismatchError): every up-set
@@ -169,8 +168,8 @@ class DualLattice:
         each made as it is yielded and none kept. M_p = above & ~col[p]
         holds the members with p maximal outside, one per upper cover
         U | {p}, and J_p = col[p] & ~below those with p minimal inside,
-        one per lower cover U - {p} (Birkhoff). Given λ_p and υ_p, the
-        members below λ_p are ~(col[p] | below) and above υ_p col[p] & above."""
+        one per lower cover U - {p} (Birkhoff). ~(col[p] | below) is the
+        ideal below λ_p, and col[p] & above the filter above υ_p."""
         columns, base = self.columns, self.base
         # A sweep along the base's Hasse covers did not beat this loop on
         # verify_mid (about 32 ms a pass either way; wide bases untimed).
@@ -184,40 +183,51 @@ class DualLattice:
 
     @cached_property
     def order_masks(self):
-        """(meets, joins, unclosed), read off one walk of strict_bounds.
-        meets and joins are the member-index masks of the meet- and
-        join-irreducibles: a member has an upper cover per M_p and a lower
-        cover per J_p holding it, and those in exactly one are counted
-        bit-sliced. unclosed is the OR of col[p] & ~above, the members
-        holding some p but not all of ↑p."""
-        meet_once = meet_twice = join_once = join_twice = unclosed = 0
-        for column, above, below in self.strict_bounds():
-            maximal_outside, minimal_inside = above & ~column, column & ~below
-            meet_twice |= meet_once & maximal_outside
-            meet_once |= maximal_outside
-            join_twice |= join_once & minimal_inside
-            join_once |= minimal_inside
-            unclosed |= column & ~above
-        return meet_once & ~meet_twice, join_once & ~join_twice, unclosed
+        """(meets, joins, unclosed), read off one walk of strict_bounds
+        with the witnesses. meets and joins are the member-index masks of
+        the meet- and join-irreducibles: a member has an upper cover per
+        M_p and a lower cover per J_p holding it, and those in exactly one
+        are counted bit-sliced. unclosed is the OR of col[p] & ~above, the
+        members holding some p but not all of ↑p."""
+        return self._order_pass[0]
 
     @cached_property
     def witnesses(self):
         """(lambdas, upsilons): per base element p, in element order, the
         member index of λ_p, the map vanishing exactly on ↓p, and of υ_p,
         the map supported on ↑p; None where no member has that support.
+        Read off order_masks' walk: the other members missing all of ↓p
+        have fewer elements, and those holding all of ↑p more, so λ_p is
+        the last of the former and υ_p the first of the latter (of a
+        repeated support, its last and its first copy)."""
+        return self._order_pass[1]
 
-        Canonical order puts λ_p last among the members without p and υ_p
-        first among those with it. Only a family that is not the up-sets
-        of its base can hold them elsewhere, and only then are the
-        supports scanned.
-        """
-        base, supports = self.base, self.supports
+    @cached_property
+    def _order_pass(self):
+        """(order_masks, witnesses), from one walk of strict_bounds."""
+        base, supports, full = self.base, self.supports, self.full_member_mask
+        meet_once = meet_twice = join_once = join_twice = unclosed = 0
         lambdas, upsilons = [], []
-        rows = zip(self.last_without, self.columns, base.down_masks, base.up_masks)
-        for i, column, down, up in rows:
-            lambdas.append(_located(supports, i, base.full_mask & ~down))
-            upsilons.append(_located(supports, (column & -column).bit_length() - 1, up))
-        return tuple(lambdas), tuple(upsilons)
+        bounds = zip(self.strict_bounds(), base.down_masks, base.up_masks)
+        for p, ((column, above, below), down, up) in enumerate(bounds):
+            maximal_outside, minimal_inside = above & ~column, column & ~below
+            meet_twice |= meet_once & maximal_outside
+            meet_once |= maximal_outside
+            join_twice |= join_once & minimal_inside
+            join_once |= minimal_inside
+            unclosed |= column & ~above
+            # The members outside meeting miss all of ↓p and those in
+            # holding hold all of ↑p; col[p] joins each only where p is in
+            # its own ↓p or ↑p. Every member with λ_p's or υ_p's support is
+            # among them, so the -1 of an empty set names one without it.
+            meeting = below | column if down >> p & 1 else below
+            holding = above & column if up >> p & 1 else above
+            i = (full ^ meeting).bit_length() - 1
+            lambdas.append(i if supports[i] == base.full_mask & ~down else None)
+            i = (holding & -holding).bit_length() - 1
+            upsilons.append(i if supports[i] == up else None)
+        masks = meet_once & ~meet_twice, join_once & ~join_twice, unclosed
+        return masks, (tuple(lambdas), tuple(upsilons))
 
     @cached_property
     def upset_count(self):
@@ -268,16 +278,6 @@ def _check_width(base):
         raise TooLargeError(
             f"dual lattice over {base.n} elements, cap is {DEFAULT_MAX_ELEMENTS}"
         )
-
-
-def _located(supports, i, support):
-    """i if supports[i] is the support, else its first index, or None."""
-    if i >= 0 and supports[i] == support:
-        return i
-    try:
-        return supports.index(support)
-    except ValueError:
-        return None
 
 
 def _lane_swaps(m):

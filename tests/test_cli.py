@@ -59,6 +59,32 @@ def test_verify_counts_the_up_sets_once(monkeypatch):
     assert calls == [dual_mod.DEFAULT_MAX_MEMBERS]
 
 
+@pytest.mark.parametrize(
+    "command, scans",
+    [
+        ("dual", 0),
+        ("irreducibles", 0),
+        ("primes", 0),
+        ("verify", 1),
+        ("second-dual", 1),
+    ],
+)
+def test_only_evaluation_homs_scan_rows_backward(command, scans, monkeypatch):
+    # λ_p and υ_p are read off the strict-bounds walk; last_without, the
+    # backward row scan, serves only the evaluation homs, which verify
+    # and second-dual build, once per lattice.
+    calls = []
+    last_without = dual_mod._last_without
+
+    def counted(rows, n):
+        calls.append(n)
+        return last_without(rows, n)
+
+    monkeypatch.setattr(dual_mod, "_last_without", counted)
+    code, _, _ = run([command, str(SAMPLES / "diamond.poset")])
+    assert code == 0 and len(calls) == scans
+
+
 def test_verify_reports_are_byte_identical():
     argv = ["verify", str(SAMPLES / "diamond.poset"), "--brute-force"]
     assert run(argv) == run(argv)
@@ -252,6 +278,13 @@ def test_random_subcommand_deterministic(tmp_path):
     # the emitted file is itself a valid input
     code, out, _ = run(["verify", str(out_file), "--brute-force"])
     assert code == 0
+
+
+def test_random_density_zero_is_an_antichain():
+    # 0 is a density in range: an antichain, with no relation line.
+    code, out, err = run(["random", "4", "--density", "0"])
+    assert (code, err) == (0, "")
+    assert out == "poset random\nelements: e0 e1 e2 e3\nrelations:\n"
 
 
 @pytest.mark.parametrize(

@@ -634,6 +634,38 @@ def test_irreducibles_refuse_a_reducible_lambda():
     assert exc.value.counterexample is lattice.member(0)
 
 
+def test_irreducibles_name_the_lowest_unwitnessed_meet():
+    # Every subset of the chain a < b < c: members 1, 2, 4 and 5 are
+    # meet-irreducible but none has a support P - ↓p, and the error names
+    # the lowest, {a}; member 0, below it, is λ_c.
+    chain3 = poset_from_relations(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    lattice = DualLattice(chain3, range(8))
+    assert lattice.witnesses[0] == (6, 3, 0)
+    with pytest.raises(LemmaViolationError, match="has no base-element witness") as exc:
+        irreducibles(lattice)
+    assert exc.value.counterexample is lattice.member(1)
+    assert exc.value.counterexample.support_elements() == ("a",)
+
+
+def test_irreducibles_name_a_missing_lambda_by_its_support():
+    # Over the antichain {a, b}, the family {}, {a} lacks λ_a, whose
+    # support is P - ↓a = {b}; its one meet-irreducible, {a}, is λ_b.
+    base = ANTI2.base
+    lattice = DualLattice(base, [0b00, 0b01])
+    missing = "embedded element 'a' has no member"
+    with pytest.raises(LemmaViolationError, match=missing) as exc:
+        irreducibles(lattice)
+    assert exc.value.counterexample == base.full_mask & ~base.down_masks[0] == 0b10
+
+
+def test_witnesses_on_a_base_built_without_reflexivity():
+    # a's up-mask misses a, so ↓a and ↑a are empty: λ_a is {a} and υ_a
+    # is {}, found as on a reflexive base, with col[a] left out of both
+    # masks of the strict-bounds walk.
+    lattice = DualLattice(FinitePoset(("a",), (0,)), [0, 1])
+    assert lattice.witnesses == ((1,), (0,))
+
+
 def test_irreducible_counts_match_base():
     for p in random_suite(count=40):
         lattice = enumerate_dual(p)

@@ -17,6 +17,7 @@ verdicts, payloads included, from both sides, and the report fails them
 without raising.
 """
 
+import hashlib
 import random
 from types import SimpleNamespace
 
@@ -39,6 +40,7 @@ from posetdual import (
     poset_from_relations,
     prime_principal_pairs,
     random_poset,
+    render,
     transitive_reduction,
     upsilon_of,
     write_lattice_dot,
@@ -618,6 +620,34 @@ def test_bruteforce_report_passes_exactly_the_up_set_lattices():
     assert seen == {(True, "pass"), (False, "pass"), (False, "fail")}
 
 
+# The sha256 of test_corrupted_lattice_outputs_are_pinned's stream.
+CORRUPTED_SHA256 = "2a596794b63e919eb858ccdbbc23d1465cdca510abaeb0b2991deb2f1af56c38"
+
+
+def test_corrupted_lattice_outputs_are_pinned():
+    # Every family from seeds 11-13, 5,618 in all, hashed as its witness
+    # indices, its rendered report with and without the brute-force
+    # oracle, and its labelled lattice DOT or the DOT's error, so that
+    # any change to an index, verdict or payload on a family that is not
+    # the up-sets of its base shows.
+    digest = hashlib.sha256()
+    count = 0
+    for seed in (11, 12, 13):
+        for lattice in _corrupted_lattices(CORRUPTED, seed):
+            parts = [repr(lattice.witnesses)]
+            for brute in (False, True):
+                tree, _ = build_verification_report("c", lattice, use_bruteforce=brute)
+                parts.append(render(tree))
+            try:
+                parts.append(emit_lattice_dot(lattice, label_embeddings=True))
+            except LemmaViolationError as exc:
+                parts.append(f"{type(exc).__name__}: {exc}")
+            digest.update("\0".join(parts).encode() + b"\n")
+            count += 1
+    assert count == 5618
+    assert digest.hexdigest() == CORRUPTED_SHA256
+
+
 def test_repeated_supports_fail_closure(lattices):
     # A family listing one up-set twice is not the up-sets of its base.
     for lattice in lattices:
@@ -629,8 +659,11 @@ def test_repeated_supports_fail_closure(lattices):
             assert verdict == upset_closure_scan(twice)
             assert verdict[1].endswith(" repeated")
             assert not build_verification_report("t", twice)[1]
-            # λ_p is the last member without p, a repeated one its copy.
+            # λ_p is the last member without p, a repeated one its second
+            # copy, and υ_p the first member with p, its first copy.
             assert twice.witnesses[0] == twice.last_without
+            first_with = tuple((c & -c).bit_length() - 1 for c in twice.columns)
+            assert twice.witnesses[1] == first_with
 
 
 @pytest.mark.parametrize(
