@@ -8,7 +8,6 @@ import io
 import re
 from itertools import compress, count
 
-from .dual import _support_elements
 from .errors import LemmaViolationError
 from .poset import _digits, transitive_reduction
 
@@ -20,7 +19,7 @@ _BLOCK_LINES = 1 << 12
 
 def support_label(x):
     """Stable set notation for a member's support, e.g. '{a,b}' or '{}'."""
-    return "{" + ",".join(_support_elements(x.base.elements, x.support)) + "}"
+    return "{" + ",".join(x.support_elements()) + "}"
 
 
 def _escape(text):

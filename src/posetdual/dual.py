@@ -43,12 +43,8 @@ class MonotoneMap(namedtuple("MonotoneMap", "base support")):
         return self.support >> self.base.index(element) & 1
 
     def support_elements(self):
-        return tuple(_support_elements(self.base.elements, self.support))
-
-
-def _support_elements(elements, support):
-    """The items of `elements` at the set bits of a support, in order."""
-    return compress(elements, _digits(support))
+        """The base elements in the support, in element order."""
+        return tuple(compress(self.base.elements, _digits(self.support)))
 
 
 class DualLattice:
@@ -70,16 +66,16 @@ class DualLattice:
     is likewise built on the first lookup by support: from sup_of/inf_of,
     check_member and member_index. `verify`, `second-dual` and the DOT
     make none.
-    `columns[p]` is the member-index mask of the members whose support
-    holds base element p, i.e. the preimage of 1 under evaluation at p;
-    the principal ideal and filter of a set of members, `ideal_of(mask)`
-    and `filter_of(mask)`, are read from all n, and the Hasse covers, via
-    `strict_bounds`, in O(n^2). `last_without[p]`, the last member
-    lacking p and the kernel top of the evaluation hom at p, is read off
-    the rows. One walk of the strict bounds gives `order_masks`, the
-    irreducible and closure masks, and `witnesses`, the member indices
-    of λ_p and υ_p that lambda_of/upsilon_of, irreducibles, the prime
-    pairs, the report and the DOT annotations read. These and
+    `columns[p]` is the member-index mask of the members whose support holds
+    base element p, i.e. the preimage of 1 under evaluation at p; the
+    principal ideal and filter of a set of members, `ideal_of(mask)` and
+    `filter_of(mask)`, are read from all n, and the Hasse covers, via
+    `strict_bounds`, in O(n^2). `last_without[p]`, the last member lacking p
+    and the kernel top of ev_p, is column p's highest zero bit, or read off
+    the rows backward without columns. One walk of the strict bounds gives
+    `order_masks`, the irreducible and closure masks, and `witnesses`, the
+    member indices of λ_p and υ_p that lambda_of/upsilon_of, irreducibles,
+    the prime pairs, the report and the DOT annotations read. These and
     `upset_count` are built once, on first use; the bounds are not kept.
     The rows are 64 bits wide, so the base has at most DEFAULT_MAX_ELEMENTS
     (64) elements (else TooLargeError), and there must be at least one
@@ -159,8 +155,12 @@ class DualLattice:
     @cached_property
     def last_without(self):
         """last_without[p]: the index of the last member whose support lacks
-        element p, or -1 when every member holds it."""
-        return _last_without(self.supports, self.base.n)
+        element p, or -1 when every member holds it: the highest zero bit of
+        columns[p] once they are built, else read off the rows backward."""
+        if "columns" not in vars(self):
+            return _last_without(self.supports, self.base.n)
+        full = self.full_member_mask
+        return tuple((full ^ column).bit_length() - 1 for column in self.columns)
 
     def strict_bounds(self):
         """Per base element p, in element order, (col[p], above, below):

@@ -65,14 +65,15 @@ def test_verify_counts_the_up_sets_once(monkeypatch):
         ("dual", 0),
         ("irreducibles", 0),
         ("primes", 0),
-        ("verify", 1),
+        ("verify", 0),
         ("second-dual", 1),
     ],
 )
 def test_only_evaluation_homs_scan_rows_backward(command, scans, monkeypatch):
-    # λ_p and υ_p are read off the strict-bounds walk; last_without, the
-    # backward row scan, serves only the evaluation homs, which verify
-    # and second-dual build, once per lattice.
+    # λ_p and υ_p are read off the strict-bounds walk; last_without serves
+    # only the evaluation homs, which verify and second-dual build. verify
+    # has built the columns by then and reads it off them, so only
+    # second-dual scans the rows backward, once per lattice.
     calls = []
     last_without = dual_mod._last_without
 
@@ -83,6 +84,38 @@ def test_only_evaluation_homs_scan_rows_backward(command, scans, monkeypatch):
     monkeypatch.setattr(dual_mod, "_last_without", counted)
     code, _, _ = run([command, str(SAMPLES / "diamond.poset")])
     assert code == 0 and len(calls) == scans
+
+
+@pytest.mark.parametrize(
+    "command, transposes",
+    [
+        ("dual", 1),
+        ("irreducibles", 1),
+        ("primes", 1),
+        ("verify", 1),
+        ("second-dual", 0),
+    ],
+)
+def test_lattice_commands_transpose_rows_once(
+    command, transposes, tmp_path, monkeypatch
+):
+    # The member columns are the rows transposed, built once per lattice
+    # and read by every later step, verify's kernel tops included.
+    rand = tmp_path / "r12.poset"
+    argv = ["random", "12", "--seed", "4", "--density", "0.2", "--out", str(rand)]
+    assert run(argv)[0] == 0
+    calls = []
+    transpose_rows = dual_mod._transpose_rows
+
+    def counted(rows, n):
+        calls.append(n)
+        return transpose_rows(rows, n)
+
+    monkeypatch.setattr(dual_mod, "_transpose_rows", counted)
+    for path in (SAMPLES / "diamond.poset", rand):
+        calls.clear()
+        code, _, _ = run([command, str(path)])
+        assert code == 0 and len(calls) == transposes
 
 
 def test_verify_reports_are_byte_identical():

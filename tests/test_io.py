@@ -56,12 +56,14 @@ def test_parse_duplicate_element():
 
 
 def test_parse_errors_have_positions():
+    # An error that names no token points at the start of its line.
     with pytest.raises(ParseError) as exc:
         parse_poset("posett P\nelements: a\nrelations:\n")
-    assert exc.value.line == 1
+    assert (exc.value.line, exc.value.column) == (1, 1)
+    assert str(exc.value) == "line 1, column 1: expected 'poset <name>'"
     with pytest.raises(ParseError) as exc:
         parse_poset("poset P\nelements: a\nrelations:\na << a\n")
-    assert exc.value.line == 4
+    assert (exc.value.line, exc.value.column) == (4, 1)
     # Columns point at the bad token itself, not at an earlier
     # occurrence of its text on the line.
     with pytest.raises(ParseError) as exc:

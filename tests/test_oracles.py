@@ -46,6 +46,7 @@ from posetdual import (
     write_lattice_dot,
 )
 from posetdual import dot as dot_mod
+from posetdual import dual as dual_mod
 from posetdual import seconddual as sd_mod
 from posetdual.poset import _bits
 from posetdual.report import _check_embedding_order, _check_upset_closure
@@ -377,14 +378,28 @@ def test_witness_indices_match_scan(fixture_lattices, shuffled_lattices):
 def test_evaluation_kernels_match_interval_scan(fixture_lattices, shuffled_lattices):
     # The zero side of ev_p is the ideal below its own join on any family,
     # so its last member, last_without[p], is the scan's kernel top; where
-    # every member holds p the side is empty and both give the top.
+    # every member holds p the side is empty and both give the top. It is
+    # read off the rows backward before the columns are built and off
+    # column p's highest zero bit after, so each family is built twice.
+    # 15 atoms under a top span five row chunks; the top's answer, the
+    # empty set, lies in the first and each atom's in the last.
+    atoms = [f"a{i}" for i in range(15)]
+    under_top = poset_from_relations([*atoms, "t"], [(a, "t") for a in atoms])
+    spanning = enumerate_dual(under_top)
+    assert len(spanning) > 4 * dual_mod._CHUNK_ROWS
     emptied = False
-    for lattice in (
+    for family in (
         fixture_lattices
         + shuffled_lattices
         + list(_corrupted_lattices(CORRUPTED, seed=11))
+        + [spanning]
     ):
-        expected = last_without_scan(lattice.supports, lattice.base.n)
+        expected = last_without_scan(family.supports, family.base.n)
+        scanned = DualLattice(family.base, family.supports)
+        assert scanned.last_without == expected
+        assert "columns" not in vars(scanned)
+        lattice = DualLattice(family.base, family.supports)
+        lattice.columns
         assert lattice.last_without == expected
         for p, column in zip(lattice.base.elements, lattice.columns):
             top = evaluation_hom(lattice, p).kernel_top
