@@ -153,23 +153,23 @@ def poset_from_relations(elements, pairs):
     that is all acyclic input costs. Rows left unfinished mean a cycle;
     only then do Warshall's closure and the pair scan run, and
     CycleDetectedError reports the lexicographically smallest 2-cycle.
+    A repeated element is refused before the element cap, naming its
+    first repeat; a pair with an unknown end names its lower end first.
     """
     elements = tuple(elements)
-    seen = set()
-    for e in elements:
-        if e in seen:
+    index = {}
+    for i, e in enumerate(elements):
+        if index.setdefault(e, i) != i:
             raise DuplicateElementError(f"duplicate element: {e!r}")
-        seen.add(e)
     _check_element_cap(len(elements))
-    index = {e: i for i, e in enumerate(elements)}
     up = [1 << i for i in range(len(elements))]
     preds = [[] for _ in elements]
     for lower, upper in pairs:
-        if lower not in index:
-            raise UnknownElementError(f"unknown element: {lower!r}")
-        if upper not in index:
-            raise UnknownElementError(f"unknown element: {upper!r}")
-        i, j = index[lower], index[upper]
+        try:
+            i, j = index[lower], index[upper]
+        except KeyError:
+            unknown = upper if lower in index else lower
+            raise UnknownElementError(f"unknown element: {unknown!r}") from None
         if not up[i] >> j & 1:  # skips repeats and a < a
             up[i] |= 1 << j
             preds[j].append(i)

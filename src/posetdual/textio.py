@@ -82,22 +82,20 @@ def _identifier(token, lineno):
 
 
 def parse_poset(text):
-    """Parse the text format into a document, with positioned errors."""
-    lines = list(_significant_lines(text))
-    pos = 0
+    """Parse the text format into a document, with positioned errors.
 
-    if pos >= len(lines):
-        raise ParseError("expected 'poset <name>'", line=1)
-    lineno, line = lines[pos]
+    The header lines and then the relation lines are read off one
+    iterator: a missing header is reported on the line after the last one
+    read, a wrong one on its own line.
+    """
+    lines = _significant_lines(text)
+    lineno, line = next(lines, (1, ""))
     parts = line.split()
     if len(parts) != 2 or parts[0] != "poset" or not _IDENT.match(parts[1]):
         raise ParseError("expected 'poset <name>'", line=lineno)
     name = parts[1]
-    pos += 1
 
-    if pos >= len(lines):
-        raise ParseError("expected 'elements:' line", line=lineno + 1)
-    lineno, line = lines[pos]
+    lineno, line = next(lines, (lineno + 1, ""))
     if not line.startswith("elements:"):
         raise ParseError("expected 'elements:' line", line=lineno)
     elements = line[len("elements:"):].split()
@@ -112,17 +110,13 @@ def parse_poset(text):
                     f"line {lineno}: duplicate element: {ident!r}"
                 )
             seen.add(ident)
-    pos += 1
 
-    if pos >= len(lines):
-        raise ParseError("expected 'relations:' line", line=lineno + 1)
-    lineno, line = lines[pos]
+    lineno, line = next(lines, (lineno + 1, ""))
     if line != "relations:":
         raise ParseError("expected 'relations:' line", line=lineno)
-    pos += 1
 
     relations = []
-    for lineno, line in lines[pos:]:
+    for lineno, line in lines:
         parts = line.split()
         if len(parts) != 3 or parts[1] != "<":
             raise ParseError("expected '<id> < <id>'", line=lineno)

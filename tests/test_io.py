@@ -193,6 +193,75 @@ def test_parser_matches_token_scan_on_mutations():
     }
 
 
+MISSPELLED = {"poset": "posett", "elements:": "element:", "relations:": "relation:"}
+HEADER_ERRORS = {
+    "expected 'poset <name>'": "poset",
+    "expected 'elements:' line": "elements",
+    "expected 'relations:' line": "relations",
+}
+
+
+def _mutated_header(rng):
+    """A valid document's text with seeded mutations of its three header
+    lines only: a header dropped or its keyword misspelled, a token added
+    or dropped, two headers swapped, and blank, comment-only or indented
+    lines put before a header."""
+    names = rng.sample(["a", "b", "c", "x1"], rng.randint(0, 4))
+    headers = [["poset", "P"], ["elements:", *names], ["relations:"]]
+    before = [[], [], []]  # the lines put before each header
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        kind = rng.randrange(7)
+        h = rng.randrange(3)
+        tokens = headers[h]
+        if kind == 0:
+            tokens.clear()  # left as a blank line
+        elif kind == 1 and tokens:
+            tokens[0] = MISSPELLED.get(tokens[0], tokens[0] + "s")
+        elif kind == 2:
+            extra = rng.choice(names + ["P", "a", "a-b", "relations:"])
+            tokens.insert(rng.randint(0, len(tokens)), extra)
+        elif kind == 3 and tokens:
+            del tokens[rng.randrange(len(tokens))]
+        elif kind == 4:
+            g = rng.randrange(3)
+            headers[h], headers[g] = headers[g], headers[h]
+        elif kind == 5:
+            before[h].append(rng.choice(("", "   ", "# note", "\t# elements: a")))
+        else:
+            before[h].append(rng.choice((" ", "\t")) + " ".join(tokens))
+            tokens.clear()
+    lines = []
+    for extra, tokens in zip(before, headers):
+        lines += extra
+        lines.append(" ".join(tokens))
+    if names and rng.random() < 0.5:
+        lines.append(f"{rng.choice(names)} < {rng.choice(names)}")
+    return "\n".join(lines) + rng.choice(("\n", "", "\n\n# end\n"))
+
+
+def test_parser_matches_token_scan_on_header_mutations():
+    # Reading the headers off the line iterator gives the same document,
+    # or the same error with the same line and column, as the cursor
+    # over a list of lines; a missing header is one at the end of input.
+    rng = random.Random(23)
+    kinds = set()
+    for _ in range(3000):
+        text = _mutated_header(rng)
+        got = _outcome(parse_poset, text)
+        assert got == _outcome(parse_poset_scan, text), text
+        if not isinstance(got, tuple):
+            kinds.add("ok")
+        elif got[1].split(": ", 1)[1] in HEADER_ERRORS:
+            rest = [line.split("#", 1)[0] for line in text.splitlines()[got[2] - 1:]]
+            where = "wrong" if any(map(str.strip, rest)) else "missing"
+            kinds.add((HEADER_ERRORS[got[1].split(": ", 1)[1]], where))
+    assert kinds == {
+        "ok",
+        *((header, where) for header in ("poset", "elements", "relations")
+          for where in ("wrong", "missing")),
+    }
+
+
 def test_comments_and_blank_lines_ignored():
     text = "# header\n\nposet P  # name\nelements: a b\n\nrelations:\na < b\n"
     doc = parse_poset(text)

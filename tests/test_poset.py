@@ -168,6 +168,19 @@ def test_duplicate_and_unknown_elements():
         poset_from_relations(["a"], [("b", "a")])
     with pytest.raises(UnknownElementError, match="'c'"):
         poset_from_relations(["a"], [("a", "c")])
+    # The first repeat is named, and a pair with two unknown ends names
+    # its lower end.
+    with pytest.raises(DuplicateElementError) as exc:
+        poset_from_relations(["a", "b", "b", "a"], [])
+    assert str(exc.value) == "duplicate element: 'b'"
+    with pytest.raises(UnknownElementError) as exc:
+        poset_from_relations(["a"], [("a", "a"), ("y", "x")])
+    assert str(exc.value) == "unknown element: 'y'"
+    # A repeat is refused before the element cap is checked.
+    names = [f"e{i}" for i in range(64)] + ["e7"]
+    with pytest.raises(DuplicateElementError) as exc:
+        poset_from_relations(names, [])
+    assert str(exc.value) == "duplicate element: 'e7'"
     p = chain("a", "b")
     with pytest.raises(UnknownElementError):
         leq(p, "a", "z")
