@@ -308,6 +308,9 @@ def test_random_subcommand_deterministic(tmp_path):
     )
     assert code == 0
     assert out_file.read_text() == a[1]
+    # the seed defaults to 0 and the density to 0.5
+    assert run(["random", "5"]) == run(["random", "5", "--seed", "0", "--density", "0.5"])
+    assert run(["random", "5"]) != run(["random", "5", "--seed", "1"])
     # the emitted file is itself a valid input
     code, out, _ = run(["verify", str(out_file), "--brute-force"])
     assert code == 0
@@ -318,6 +321,15 @@ def test_random_density_zero_is_an_antichain():
     code, out, err = run(["random", "4", "--density", "0"])
     assert (code, err) == (0, "")
     assert out == "poset random\nelements: e0 e1 e2 e3\nrelations:\n"
+
+
+def test_random_density_one_is_a_chain():
+    # 1 is in range too: every pair is drawn, so e0 < e1 < e2 < e3.
+    code, out, err = run(["random", "4", "--density", "1"])
+    assert (code, err) == (0, "")
+    assert out == (
+        "poset random\nelements: e0 e1 e2 e3\nrelations:\ne0 < e1\ne1 < e2\ne2 < e3\n"
+    )
 
 
 @pytest.mark.parametrize(

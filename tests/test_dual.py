@@ -145,12 +145,22 @@ def test_count_closed_forms():
 
 
 def test_budget_counts_memo_entries():
-    # An n-antichain memoizes n singletons and itself; the count stops
-    # once the memo holds more than the budget.
-    assert _count_upsets(antichain(40), 41) == 2**40
-    with pytest.raises(TooLargeError, match="^dual lattice has more than 40 "):
-        _count_upsets(antichain(40), 40)
+    # An n-antichain, of two components or of 40, memoizes its n
+    # singletons and itself; the count stops once the memo holds more
+    # than the budget.
+    for n in (2, 40):
+        assert _count_upsets(antichain(n), n + 1) == 2**n
+        with pytest.raises(TooLargeError, match=f"^dual lattice has more than {n} "):
+            _count_upsets(antichain(n), n)
     assert _count_upsets(antichain(0), -1) == 1
+    # Pivoting on the first element comparable to most others memoizes
+    # 17 masks for these 296 up-sets, so the pivot rule decides which
+    # refusal a cap of 16 or 17 gives.
+    p = random_poset(12, 1, 0.2)
+    with pytest.raises(TooLargeError, match="^dual lattice has 296 members, cap 17$"):
+        enumerate_dual(p, max_members=17)
+    with pytest.raises(TooLargeError, match="^dual lattice has more than 16 members, cap 16$"):
+        enumerate_dual(p, max_members=16)
 
 
 def test_refusals_walk_no_upsets(monkeypatch):

@@ -54,6 +54,16 @@ def test_empty_subset_is_ideal_and_filter_but_not_prime():
     assert not is_prime_filter(empty)
 
 
+def test_subset_from_maps_and_membership():
+    # from_maps sets exactly the given maps' bits, and `in` reads each
+    # member's own bit.
+    a = member(ANTI2, "a")
+    assert subset(ANTI2).member_mask == 0
+    s = subset(ANTI2, ANTI2.top, a)
+    assert s.maps() == (a, ANTI2.top)
+    assert [x in s for x in ANTI2.members] == [False, True, False, True]
+
+
 def test_join_closure_required():
     a, b = member(ANTI2, "a"), member(ANTI2, "b")
     s = subset(ANTI2, ANTI2.bottom, a, b)

@@ -213,14 +213,16 @@ def _mutated_header(rng):
         kind = rng.randrange(7)
         h = rng.randrange(3)
         tokens = headers[h]
+        if kind in (1, 3) and not tokens:
+            continue  # nothing to misspell or drop
         if kind == 0:
             tokens.clear()  # left as a blank line
-        elif kind == 1 and tokens:
+        elif kind == 1:
             tokens[0] = MISSPELLED.get(tokens[0], tokens[0] + "s")
         elif kind == 2:
             extra = rng.choice(names + ["P", "a", "a-b", "relations:"])
             tokens.insert(rng.randint(0, len(tokens)), extra)
-        elif kind == 3 and tokens:
+        elif kind == 3:
             del tokens[rng.randrange(len(tokens))]
         elif kind == 4:
             g = rng.randrange(3)
@@ -251,10 +253,11 @@ def test_parser_matches_token_scan_on_header_mutations():
         assert got == _outcome(parse_poset_scan, text), text
         if not isinstance(got, tuple):
             kinds.add("ok")
-        elif got[1].split(": ", 1)[1] in HEADER_ERRORS:
+            continue
+        header = HEADER_ERRORS.get(got[1].split(": ", 1)[1])
+        if header:
             rest = [line.split("#", 1)[0] for line in text.splitlines()[got[2] - 1:]]
-            where = "wrong" if any(map(str.strip, rest)) else "missing"
-            kinds.add((HEADER_ERRORS[got[1].split(": ", 1)[1]], where))
+            kinds.add((header, "wrong" if any(map(str.strip, rest)) else "missing"))
     assert kinds == {
         "ok",
         *((header, where) for header in ("poset", "elements", "relations")
