@@ -209,7 +209,7 @@ class DualLattice:
         meet_once = meet_twice = join_once = join_twice = unclosed = 0
         lambdas, upsilons = [], []
         bounds = zip(self.strict_bounds(), base.down_masks, base.up_masks)
-        for p, ((column, above, below), down, up) in enumerate(bounds):
+        for (column, above, below), down, up in bounds:
             maximal_outside, minimal_inside = above & ~column, column & ~below
             meet_twice |= meet_once & maximal_outside
             meet_once |= maximal_outside
@@ -217,11 +217,10 @@ class DualLattice:
             join_once |= minimal_inside
             unclosed |= column & ~above
             # The members outside meeting miss all of ↓p and those in
-            # holding hold all of ↑p; col[p] joins each only where p is in
-            # its own ↓p or ↑p. Every member with λ_p's or υ_p's support is
-            # among them, so the -1 of an empty set names one without it.
-            meeting = below | column if down >> p & 1 else below
-            holding = above & column if up >> p & 1 else above
+            # holding hold all of ↑p. Every member with λ_p's or υ_p's support
+            # is among them, so the -1 of an empty set names one without it.
+            meeting = below | column
+            holding = above & column
             i = (full ^ meeting).bit_length() - 1
             lambdas.append(i if supports[i] == base.full_mask & ~down else None)
             i = (holding & -holding).bit_length() - 1
@@ -310,18 +309,17 @@ def _transpose_rows(rows, n):
 
     Works through the rows in chunks of _CHUNK_ROWS, a multiple of 8, so
     besides the rows and the planes it holds only chunk-sized copies.
-    Each chunk's byte plane k is copied into plane k at its offset, and
+    Each chunk's byte plane k is appended to plane k, in chunk order, and
     every 8th byte from byte c of plane k, read as one int, is column
     8k + c; each plane is released once its columns are read.
     """
-    planes = [bytearray(-(-len(rows) // 8) * 8) for _ in range(-(-n // 8))]
+    planes = [bytearray() for _ in range(-(-n // 8))]
     swaps = _lane_swaps(len(rows))
     with memoryview(rows).cast("B") as raw:
         for start in range(0, len(raw), 8 * _CHUNK_ROWS):
             chunk = raw[start : start + 8 * _CHUNK_ROWS].tobytes()
             for k, plane in enumerate(planes):
-                x = _transposed_plane(chunk, k, swaps)
-                plane[start // 8 : start // 8 + len(x)] = x
+                plane += _transposed_plane(chunk, k, swaps)
     columns = []
     for k in range(len(planes)):
         plane, planes[k] = planes[k], None
@@ -397,8 +395,7 @@ def _walk_upset_buckets(poset):
             rest &= not_down[p]
         family = _remainder_family(rest, up, not_up, not_down, families)
         for k, (lanes, ones, count) in enumerate(family, included.bit_count()):
-            if count:
-                extend[k]((lanes + included * ones).to_bytes(8 * count, "little"))
+            extend[k]((lanes + included * ones).to_bytes(8 * count, "little"))
     if sys.byteorder == "big":
         for bucket in buckets:
             bucket.byteswap()
@@ -609,8 +606,8 @@ def _match_witnesses(lattice, found, indices, supports, side):
             raise LemmaViolationError(
                 f"embedded element {p!r} has no member", counterexample=support
             )
-        # Never on a reflexive, antisymmetric base: λ_p lies in M_p and in
-        # no other M_q, υ_p in J_p alone, so both are always found.
+        # Never on an antisymmetric base: λ_p lies in M_p and in no other
+        # M_q, υ_p in J_p alone, so both are always found.
         if not found >> i & 1:
             raise LemmaViolationError(
                 f"embedded element {p!r} gives a reducible member",

@@ -10,6 +10,7 @@ from collections import namedtuple
 from .errors import (
     CycleDetectedError,
     DuplicateElementError,
+    PosetDualError,
     TooLargeError,
     UnknownElementError,
 )
@@ -37,9 +38,9 @@ class FinitePoset(_Frozen):
     """Immutable finite partially ordered set.
 
     up_masks[i] holds the bitmask of indices j with element i <= element j
-    (always including i itself), and down_masks[j], computed once from
-    them, the bitmask of indices i with element i <= element j. Instances
-    compare by identity; all operations on them are pure.
+    (always i itself, else PosetDualError names element i), and down_masks[j],
+    computed once from them, the bitmask of indices i with element i <=
+    element j. Instances compare by identity; all operations on them are pure.
     """
 
     __slots__ = ("elements", "up_masks", "_index", "down_masks")
@@ -47,6 +48,8 @@ class FinitePoset(_Frozen):
     def __init__(self, elements, up_masks):
         down = [0] * len(up_masks)
         for i, up in enumerate(up_masks):
+            if not up >> i & 1:
+                raise PosetDualError(f"element {elements[i]!r} is not <= itself")
             for j in _bits(up):
                 down[j] |= 1 << i
         init = object.__setattr__

@@ -22,9 +22,42 @@ from posetdual import (
     random_poset,
     transitive_reduction,
 )
-from posetdual.dot import _graph_id, support_label
-from posetdual.poset import _bits
-from posetdual.textio import PosetDocument, _significant_lines
+from posetdual.textio import PosetDocument
+
+_DOT_KEYWORDS = ("node", "edge", "graph", "digraph", "subgraph", "strict")
+
+
+def _bits(mask):
+    """The indices of the set bits of a mask, lowest first."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _label(x):
+    """A member's support in set notation, its elements in base order."""
+    names = [e for i, e in enumerate(x.base.elements) if x.support >> i & 1]
+    return "{" + ",".join(names) + "}"
+
+
+def _dot_escape(text):
+    return str(text).replace("\\", "\\\\").replace('"', '\\"')
+
+
+def _dot_graph_id(name):
+    """A graph name as a DOT ID: bare when it is an ASCII identifier and
+    no keyword in any case, else quoted."""
+    bare = re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name)
+    if bare and name.lower() not in _DOT_KEYWORDS:
+        return name
+    return f'"{_dot_escape(name)}"'
+
+
+def _content_lines(text):
+    """(line number, line) of each line that is not blank once a # comment
+    and trailing blanks are cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0].rstrip()
+        if line:
+            yield lineno, line
 
 
 def upset_masks_bruteforce(poset):
@@ -244,10 +277,10 @@ def upset_closure_scan(lattice):
     for x in members:
         for i in range(base.n):
             if x.support >> i & 1 and base.up_masks[i] & ~x.support:
-                return False, f"member={support_label(x)}"
+                return False, f"member={_label(x)}"
     for x, y in zip(members, members[1:]):
         if x.support == y.support:
-            return False, f"member={support_label(x)} repeated"
+            return False, f"member={_label(x)} repeated"
     if len(members) != len(upset_masks_bruteforce(base)):
         return False, f"members={len(members)} missing-up-sets"
     return True, None
@@ -291,7 +324,7 @@ def embedding_characterization_scan(lattice):
         for k, x in enumerate(lattice.supports):
             value = x >> i & 1
             if (value == 0) != (x & ~lam == 0) or (value == 1) != (ups & ~x == 0):
-                return False, f"x={support_label(lattice.member(k))} p={p}"
+                return False, f"x={_label(lattice.member(k))} p={p}"
     return True, None
 
 
@@ -513,16 +546,14 @@ def lattice_dot_scan(lattice, name="L", label_embeddings=False):
     (lower id, upper id) pairs. A backslash or quote in an element name
     is escaped with a backslash."""
     base = lattice.base
-    names = [
-        str(e).replace("\\", "\\\\").replace('"', '\\"') for e in base.elements
-    ]
+    names = [_dot_escape(e) for e in base.elements]
     annotations = {}
     if label_embeddings:
         for p, down in zip(names, base.down_masks):
             annotations.setdefault(base.full_mask & ~down, []).append(f"λ:{p}")
         for p, up in zip(names, base.up_masks):
             annotations.setdefault(up, []).append(f"υ:{p}")
-    lines = [f"digraph {_graph_id(name)} {{"]
+    lines = [f"digraph {_dot_graph_id(name)} {{"]
     for i, x in enumerate(lattice.members):
         label = "{" + ",".join(names[k] for k in _bits(x.support)) + "}"
         notes = annotations.get(x.support)
@@ -727,7 +758,7 @@ def parse_poset_scan(text):
     """The text format parsed token by token with the regex tokenizer:
     every `elements:` name and both ends of every relation line are
     matched and checked in order, so the first bad token raises."""
-    lines = list(_significant_lines(text))
+    lines = list(_content_lines(text))
     pos = 0
 
     if pos >= len(lines):

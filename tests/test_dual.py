@@ -12,6 +12,7 @@ from posetdual import (
     FinitePoset,
     LemmaViolationError,
     MonotoneMap,
+    PosetDualError,
     TooLargeError,
     UnknownElementError,
     build_verification_report,
@@ -636,9 +637,10 @@ def test_irreducibles_empty_poset():
 
 
 def test_irreducibles_refuse_a_reducible_lambda():
-    # a's up-mask misses a itself, so λ_a, the member {a}, lies in no M_p:
-    # it is at its witness index but has no upper cover.
-    lattice = DualLattice(FinitePoset(("a",), (0,)), [1])
+    # a <= b and b <= a, so λ_a and λ_b are both the member {}. Each of a
+    # and b lies strictly above the other, so neither is maximal outside
+    # {}: it lies in no M_p, at its witness index but with no upper cover.
+    lattice = DualLattice(FinitePoset(("a", "b"), (3, 3)), [0, 3])
     with pytest.raises(LemmaViolationError, match="gives a reducible member") as exc:
         irreducibles(lattice)
     assert exc.value.counterexample is lattice.member(0)
@@ -668,12 +670,20 @@ def test_irreducibles_name_a_missing_lambda_by_its_support():
     assert exc.value.counterexample == base.full_mask & ~base.down_masks[0] == 0b10
 
 
-def test_witnesses_on_a_base_built_without_reflexivity():
-    # a's up-mask misses a, so ↓a and ↑a are empty: λ_a is {a} and υ_a
-    # is {}, found as on a reflexive base, with col[a] left out of both
-    # masks of the strict-bounds walk.
-    lattice = DualLattice(FinitePoset(("a",), (0,)), [0, 1])
-    assert lattice.witnesses == ((1,), (0,))
+def test_a_base_without_reflexivity_is_refused(monkeypatch):
+    # A poset is reflexive. Each base here has an up-mask missing its own
+    # element, on which enumerate_dual would recurse without end;
+    # FinitePoset names the first such element, so no lattice code runs.
+    reached = []
+    monkeypatch.setattr(dual_mod, "_check_width", reached.append)
+    for elements, up_masks, name in (
+        (("a",), (0,), "a"),
+        (("a", "b"), (2, 2), "a"),
+        (("a", "b"), (1, 1), "b"),
+    ):
+        with pytest.raises(PosetDualError, match=f"element '{name}' is not <= itself"):
+            dual_mod.enumerate_dual(FinitePoset(elements, up_masks))
+    assert reached == []
 
 
 def test_irreducible_counts_match_base():

@@ -48,10 +48,10 @@ from posetdual import (
 from posetdual import dot as dot_mod
 from posetdual import dual as dual_mod
 from posetdual import seconddual as sd_mod
-from posetdual.poset import _bits
 from posetdual.report import _check_embedding_order, _check_upset_closure
 
 from conftest import (
+    _bits,
     _down_rows,
     _ones_mask_checker,
     chain,
@@ -78,6 +78,7 @@ from conftest import (
     random_suite,
     strict_bounds_scan,
     transitive_reduction_scan,
+    transpose_rows_scan,
     upset_closure_scan,
     witness_supports_scan,
     witnesses_scan,
@@ -410,6 +411,34 @@ def test_evaluation_kernels_match_interval_scan(fixture_lattices, shuffled_latti
     lattice = DualLattice(anti2, [0b01, 0b11])
     assert evaluation_hom(lattice, "a").kernel_top is lattice.top
     assert evaluation_kernel_scan(lattice, "a") is lattice.top
+
+
+@pytest.mark.parametrize("chunk", [8, 16, 24])
+def test_transposes_across_many_chunk_boundaries(
+    monkeypatch, fixture_lattices, shuffled_lattices, chunk
+):
+    # With chunks of 8 to 24 rows, most lattices span several chunks, and
+    # many of the random ones end in a chunk of under 8 rows, padded to
+    # one lane. _transpose_rows must give the scan's columns, and
+    # _last_without, which reads the chunks backward, each column's
+    # highest zero bit.
+    monkeypatch.setattr(dual_mod, "_CHUNK_ROWS", chunk)
+    rng = random.Random(3)
+    randoms = [
+        enumerate_dual(
+            random_poset(rng.randint(1, 12), rng.randrange(1 << 30), rng.random() / 2)
+        )
+        for _ in range(120)
+    ]
+    assert sum(0 < len(lattice) % chunk < 8 for lattice in randoms) > 30
+    assert sum(len(lattice) > 4 * chunk for lattice in randoms) > 15
+    for lattice in fixture_lattices + shuffled_lattices + randoms:
+        rows, n = lattice.supports, lattice.base.n
+        columns = dual_mod._transpose_rows(rows, n)
+        assert columns == transpose_rows_scan(rows, n)
+        full = lattice.full_member_mask
+        column_form = tuple((full ^ column).bit_length() - 1 for column in columns)
+        assert dual_mod._last_without(rows, n) == column_form
 
 
 def test_strict_bounds_match_generic_scans(fixture_lattices, shuffled_lattices):

@@ -16,9 +16,10 @@ from posetdual import (
 )
 
 from posetdual import poset as poset_module
-from posetdual.poset import _bits, _transitive_closure
+from posetdual.poset import _transitive_closure
 
 from conftest import (
+    _bits,
     down_mask_scan,
     find_isomorphism,
     random_suite,
