@@ -592,7 +592,7 @@ def _match_witnesses(lattice, found, indices, supports, side):
     # The found irreducibles (a member-index mask) must be exactly the
     # members at the witness indices: a member found elsewhere is reported
     # first, lowest index first, then the first element whose witness is
-    # missing or was not found.
+    # missing.
     elements = lattice.base.elements
     element_at = {i: p for p, i in zip(elements, indices) if i is not None}
     extra = found & ~sum(1 << i for i in element_at)
@@ -606,13 +606,6 @@ def _match_witnesses(lattice, found, indices, supports, side):
             raise LemmaViolationError(
                 f"embedded element {p!r} has no member", counterexample=support
             )
-        # Never on an antisymmetric base: λ_p lies in M_p and in no other
-        # M_q, υ_p in J_p alone, so both are always found.
-        if not found >> i & 1:
-            raise LemmaViolationError(
-                f"embedded element {p!r} gives a reducible member",
-                counterexample=lattice.member(i),
-            )
     found = list(_bits(found))
     members = tuple(map(lattice.member, found))
     return members, dict(zip(members, map(element_at.get, found)))
@@ -625,7 +618,8 @@ def irreducibles(lattice):
     read off the member columns; only they are made into member objects.
 
     Raises LemmaViolationError (an implementation bug by construction) if
-    an irreducible lacks a witness or an embedded element is reducible.
+    an irreducible lacks a witness or an embedded element has no member.
+    Over a poset λ_p lies in M_p alone and υ_p in J_p, so both are found.
     """
     base = lattice.base
     lambdas, upsilons = lattice.witnesses

@@ -6,6 +6,7 @@ leq is a single bit test and up-set checks are word-parallel.
 """
 
 from collections import namedtuple
+from itertools import combinations
 
 from .errors import (
     CycleDetectedError,
@@ -37,25 +38,47 @@ class _Frozen:
 class FinitePoset(_Frozen):
     """Immutable finite partially ordered set.
 
-    up_masks[i] holds the bitmask of indices j with element i <= element j
-    (always i itself, else PosetDualError names element i), and down_masks[j],
-    computed once from them, the bitmask of indices i with element i <=
-    element j. Instances compare by identity; all operations on them are pure.
+    up_masks[i] holds the bitmask of indices j with element i <= element j,
+    and down_masks[j], computed once from them, the bitmask of indices i
+    with element i <= element j. This is the one place the poset axioms
+    are checked: one mask per element, inside the base, no repeated name,
+    i <= i, and i <= j <= k only with i <= k, else a PosetDualError names
+    the first offender; i <= j <= i for i != j raises CycleDetectedError
+    with the lexicographically smallest such pair. Instances compare by
+    identity; all operations on them are pure.
     """
 
     __slots__ = ("elements", "up_masks", "_index", "down_masks")
 
     def __init__(self, elements, up_masks):
-        down = [0] * len(up_masks)
+        n = len(elements)
+        if len(up_masks) != n:
+            raise PosetDualError(f"{n} elements, {len(up_masks)} up-masks")
+        index = _index_of(elements)
+        for e, up in zip(elements, up_masks):
+            if up >> n:  # also every negative mask
+                raise PosetDualError(f"up-mask of {e!r} has bits outside the base")
+        down = [0] * n
         for i, up in enumerate(up_masks):
             if not up >> i & 1:
                 raise PosetDualError(f"element {elements[i]!r} is not <= itself")
+            off, bit = ~up, 1 << i
             for j in _bits(up):
-                down[j] |= 1 << i
+                down[j] |= bit
+                if up_masks[j] & off:
+                    k = (up_masks[j] & off).bit_length() - 1
+                    a, b, c = (repr(elements[x]) for x in (i, j, k))
+                    raise PosetDualError(f"{a} <= {b} <= {c} without {a} <= {c}")
+        # Reflexive and transitive: i <= j <= i just when ↑i = ↑j.
+        if len(set(up_masks)) < n:
+            pairs = combinations(zip(elements, up_masks), 2)
+            raise CycleDetectedError(
+                min(tuple(sorted((a, b))) for (a, x), (b, y) in pairs if x == y)
+            )
         init = object.__setattr__
         init(self, "elements", elements)
         init(self, "up_masks", up_masks)
-        init(self, "_index", {e: i for i, e in enumerate(elements)})
+        init(self, "_index", index)
         init(self, "down_masks", tuple(down))
 
     def __repr__(self):
@@ -132,13 +155,23 @@ def _transitive_closure(up):
     pivots up to k, so one pass over the pivots closes the relation.
 
     poset_from_relations calls it only on cyclic input, where its
-    topological sweep cannot finish every row."""
+    topological sweep cannot finish every row, for FinitePoset to refuse."""
     for k in range(len(up)):
         bit, row = 1 << k, up[k]
         for i, acc in enumerate(up):
             if acc & bit:
                 up[i] = acc | row
     return up
+
+
+def _index_of(elements):
+    """{element: index}; a repeated element raises DuplicateElementError
+    naming its first repeat."""
+    index = {}
+    for i, e in enumerate(elements):
+        if index.setdefault(e, i) != i:
+            raise DuplicateElementError(f"duplicate element: {e!r}")
+    return index
 
 
 def _check_element_cap(n):
@@ -154,16 +187,13 @@ def poset_from_relations(elements, pairs):
     every direct successor's is, and is then ORed into each direct
     predecessor. The closure of an acyclic relation is antisymmetric, so
     that is all acyclic input costs. Rows left unfinished mean a cycle;
-    only then do Warshall's closure and the pair scan run, and
-    CycleDetectedError reports the lexicographically smallest 2-cycle.
+    only then does Warshall's closure run, and FinitePoset refuses the
+    closed rows, naming the lexicographically smallest 2-cycle.
     A repeated element is refused before the element cap, naming its
     first repeat; a pair with an unknown end names its lower end first.
     """
     elements = tuple(elements)
-    index = {}
-    for i, e in enumerate(elements):
-        if index.setdefault(e, i) != i:
-            raise DuplicateElementError(f"duplicate element: {e!r}")
+    index = _index_of(elements)
     _check_element_cap(len(elements))
     up = [1 << i for i in range(len(elements))]
     preds = [[] for _ in elements]
@@ -186,18 +216,11 @@ def poset_from_relations(elements, pairs):
             unfinished[i] -= 1
             if not unfinished[i]:
                 done.append(i)
-    if len(done) == len(elements):
-        return FinitePoset(elements, tuple(up))
-
-    # A cycle. The swept rows lie between the pairs and their closure,
-    # so Warshall still closes them.
-    _transitive_closure(up)
-    cycles = []
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            if up[i] >> j & 1 and up[j] >> i & 1:
-                cycles.append(tuple(sorted((elements[i], elements[j]))))
-    raise CycleDetectedError(min(cycles))
+    if len(done) < len(elements):
+        # A cycle. The swept rows lie between the pairs and their closure,
+        # so Warshall still closes them, and FinitePoset refuses the result.
+        _transitive_closure(up)
+    return FinitePoset(elements, tuple(up))
 
 
 def leq(poset, a, b):

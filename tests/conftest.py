@@ -126,6 +126,23 @@ def transitive_reduction_scan(poset):
     return tuple(covers)
 
 
+def partial_order_scan(up_masks):
+    """Whether up-masks over len(up_masks) elements, read as i <= j iff
+    bit j of up_masks[i], are a partial order: no bit outside the
+    elements, and the relation reflexive, antisymmetric and transitive,
+    each tested on every pair or triple of elements."""
+    n = len(up_masks)
+    if any(up < 0 or up >> n for up in up_masks):
+        return False
+    le = [[bool(up >> j & 1) for j in range(n)] for up in up_masks]
+    pairs = list(product(range(n), repeat=2))
+    return (
+        all(le[i][i] for i in range(n))
+        and not any(le[i][j] and le[j][i] for i, j in pairs if i != j)
+        and all(le[i][k] for i, j in pairs for k in range(n) if le[i][j] and le[j][k])
+    )
+
+
 def down_mask_scan(poset, j):
     """Bitmask of the elements below element j, by testing every i."""
     return sum(1 << i for i in range(poset.n) if poset.up_masks[i] >> j & 1)

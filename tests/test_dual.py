@@ -8,7 +8,9 @@ import pytest
 
 from posetdual import (
     BaseMismatchError,
+    CycleDetectedError,
     DualLattice,
+    DuplicateElementError,
     FinitePoset,
     LemmaViolationError,
     MonotoneMap,
@@ -636,14 +638,27 @@ def test_irreducibles_empty_poset():
     assert report.lambda_witness == {}
 
 
-def test_irreducibles_refuse_a_reducible_lambda():
-    # a <= b and b <= a, so λ_a and λ_b are both the member {}. Each of a
-    # and b lies strictly above the other, so neither is maximal outside
-    # {}: it lies in no M_p, at its witness index but with no upper cover.
-    lattice = DualLattice(FinitePoset(("a", "b"), (3, 3)), [0, 3])
-    with pytest.raises(LemmaViolationError, match="gives a reducible member") as exc:
-        irreducibles(lattice)
-    assert exc.value.counterexample is lattice.member(0)
+def test_every_witness_is_irreducible_in_any_family():
+    # Over a poset, λ_p lies in M_p and in no other M_q, and υ_p in J_p
+    # alone, whatever else the family holds: a witness found is always
+    # irreducible, so irreducibles has no reducible one to report. The
+    # families mix witness supports, arbitrary masks and repeats.
+    rng = random.Random(35)
+    witnessed = 0
+    for base in poset_catalog(4):
+        full = base.full_mask
+        supports = [full & ~down for down in base.down_masks] + list(base.up_masks)
+        for _ in range(20):
+            masks = rng.sample(supports, rng.randint(0, len(supports)))
+            masks += [rng.randrange(full + 1) for _ in range(rng.randint(1, 6))]
+            lattice = DualLattice(base, masks)
+            meets, joins, _ = lattice.order_masks
+            for found, indices in zip((meets, joins), lattice.witnesses):
+                for i in indices:
+                    if i is not None:
+                        witnessed += 1
+                        assert found >> i & 1
+    assert witnessed > 1000
 
 
 def test_irreducibles_name_the_lowest_unwitnessed_meet():
@@ -671,18 +686,33 @@ def test_irreducibles_name_a_missing_lambda_by_its_support():
 
 
 def test_a_base_without_reflexivity_is_refused(monkeypatch):
-    # A poset is reflexive. Each base here has an up-mask missing its own
-    # element, on which enumerate_dual would recurse without end;
-    # FinitePoset names the first such element, so no lattice code runs.
+    # FinitePoset checks every poset axiom, and the shape of its input, so
+    # no lattice code runs on a base that is not a poset: without
+    # reflexivity enumerate_dual would recurse without end, without
+    # transitivity it miscounts (walked 5 up-sets but counted 4), and on
+    # a 2-cycle irreducibles finds a reducible witness.
     reached = []
     monkeypatch.setattr(dual_mod, "_check_width", reached.append)
-    for elements, up_masks, name in (
-        (("a",), (0,), "a"),
-        (("a", "b"), (2, 2), "a"),
-        (("a", "b"), (1, 1), "b"),
+    for elements, up_masks, error, message in (
+        (("a",), (0,), PosetDualError, "element 'a' is not <= itself"),
+        (("a", "b"), (2, 2), PosetDualError, "element 'a' is not <= itself"),
+        (("a", "b"), (1, 1), PosetDualError, "element 'b' is not <= itself"),
+        (
+            ("a", "b", "c"),
+            (0b011, 0b110, 0b100),
+            PosetDualError,
+            "'a' <= 'b' <= 'c' without 'a' <= 'c'",
+        ),
+        (("a", "b"), (3, 3), CycleDetectedError, "cycle detected: a <= b and b <= a"),
+        (("a", "b"), (1,), PosetDualError, "2 elements, 1 up-masks"),
+        (("a",), (0b11,), PosetDualError, "up-mask of 'a' has bits outside the base"),
+        (("a",), (-1,), PosetDualError, "up-mask of 'a' has bits outside the base"),
+        (("a", "a"), (1, 2), DuplicateElementError, "duplicate element: 'a'"),
     ):
-        with pytest.raises(PosetDualError, match=f"element '{name}' is not <= itself"):
+        with pytest.raises(PosetDualError) as exc:
             dual_mod.enumerate_dual(FinitePoset(elements, up_masks))
+        assert type(exc.value) is error
+        assert str(exc.value) == message
     assert reached == []
 
 

@@ -1,11 +1,16 @@
 import random
+import re
 import tracemalloc
+from itertools import product
 
 import pytest
 
 from posetdual import (
     CycleDetectedError,
     DuplicateElementError,
+    FinitePoset,
+    LemmaViolationError,
+    PosetDualError,
     TooLargeError,
     UnknownElementError,
     is_monotone,
@@ -22,6 +27,7 @@ from conftest import (
     _bits,
     down_mask_scan,
     find_isomorphism,
+    partial_order_scan,
     random_suite,
     transitive_closure_fixpoint,
 )
@@ -185,6 +191,52 @@ def test_duplicate_and_unknown_elements():
     p = chain("a", "b")
     with pytest.raises(UnknownElementError):
         leq(p, "a", "z")
+
+
+def test_finite_poset_accepts_exactly_the_partial_orders():
+    # Every tuple of n up-masks inside the base for n <= 3, and every
+    # reflexive one for n = 4: FinitePoset keeps exactly the partial
+    # orders of the scan, with the scan's down-masks, and refuses each
+    # other tuple with a PosetDualError naming a real failure, never a
+    # lattice lemma.
+    tuples = [m for n in range(4) for m in product(range(1 << n), repeat=n)]
+    tuples += product(*([m for m in range(16) if m >> i & 1] for i in range(4)))
+    accepted = [0] * 5
+    for up_masks in tuples:
+        n = len(up_masks)
+        names = tuple("abcd"[:n])
+        le = [[bool(up >> j & 1) for j in range(n)] for up in up_masks]
+        try:
+            p = FinitePoset(names, up_masks)
+        except PosetDualError as exc:
+            assert not partial_order_scan(up_masks)
+            assert not isinstance(exc, LemmaViolationError)
+            message = str(exc)
+            if isinstance(exc, CycleDetectedError):
+                # Only a reflexive, transitive relation gets this far.
+                assert all(le[i][i] for i in range(n))
+                assert transitive_closure_fixpoint(up_masks) == list(up_masks)
+                assert exc.cycle == min(
+                    (names[i], names[j])
+                    for i in range(n)
+                    for j in range(i + 1, n)
+                    if le[i][j] and le[j][i]
+                )
+            elif found := re.fullmatch(r"element '(.)' is not <= itself", message):
+                i = names.index(found[1])
+                assert not le[i][i]
+            else:
+                pattern = r"'(.)' <= '(.)' <= '(.)' without '\1' <= '\3'"
+                found = re.fullmatch(pattern, message)
+                i, j, k = map(names.index, found.groups())
+                assert le[i][j] and le[j][k] and not le[i][k]
+        else:
+            assert partial_order_scan(up_masks)
+            assert p.up_masks == up_masks
+            assert p.down_masks == tuple(down_mask_scan(p, j) for j in range(n))
+            accepted[n] += 1
+    # The labeled posets on 0..4 elements (OEIS A001035).
+    assert accepted == [1, 1, 3, 19, 219]
 
 
 def test_element_cap():
